@@ -6,6 +6,7 @@ use std::hint::black_box;
 
 use loadsteal_core::fixed_point::{solve, FixedPointOptions};
 use loadsteal_core::models::{MeanFieldModel, Rebalance, RebalanceRateFn, SimpleWs, TransferWs};
+use loadsteal_core::ModelSpec;
 use loadsteal_obs::CountingRecorder;
 use loadsteal_ode::{AdaptiveOptions, DormandPrince45, OdeSystem};
 use loadsteal_sim::{replicate, run, run_recorded, SimConfig};
@@ -60,6 +61,18 @@ fn bench_integrate(c: &mut Criterion) {
     g.bench_function("simple_ws_fixed_point", |b| {
         b.iter(|| solve(&m, &FixedPointOptions::default()).unwrap())
     });
+    // Registry presets whose polish the Jacobian's structure decides: a
+    // 20-stage band with dense s₁, s₂ columns, and two interleaved
+    // blocks (queued and in-transit tasks).
+    for (name, preset) in [
+        ("erlang_service_fixed_point", "erlang-service"),
+        ("transfer_fixed_point", "transfer"),
+    ] {
+        let model = ModelSpec::parse(preset).unwrap().mean_field().unwrap();
+        g.bench_function(name, |b| {
+            b.iter(|| solve(&model, &FixedPointOptions::default()).unwrap())
+        });
+    }
     g.finish();
 }
 

@@ -4,10 +4,13 @@
 //! A fixed point is a state `π` with `dπ/dt = 0`; the paper's systems
 //! flow towards attracting fixed points, so the robust way to find one
 //! is to integrate from the empty state until the derivative vanishes,
-//! then — when the truncated dimension is small enough — polish the
-//! result with a damped Newton iteration on the algebraic system
-//! `F(π) = 0` to (near) machine precision. The truncation is grown and
-//! the solve repeated whenever mass reaches the boundary.
+//! then polish the result with a damped Newton iteration on the
+//! algebraic system `F(π) = 0` to (near) machine precision. The polish
+//! factors the Jacobian as a band plus a dense border, so banded systems
+//! polish at any truncation; only a Jacobian whose dense part exceeds
+//! [`FixedPointOptions::newton_max_dim`] is left to integration. The
+//! truncation is grown and the solve repeated whenever mass reaches the
+//! boundary.
 
 use loadsteal_obs::{NullRecorder, Recorder};
 use loadsteal_ode::solver::SteadyStateOptions;
@@ -24,10 +27,14 @@ pub struct FixedPointOptions {
     pub steady: SteadyStateOptions,
     /// Integrator tolerances.
     pub adaptive: AdaptiveOptions,
-    /// Newton-polish settings.
+    /// Newton-polish settings. Their `max_dense_dim` is replaced by
+    /// [`Self::newton_max_dim`].
     pub newton: NewtonOptions,
-    /// Skip the Newton polish above this dimension (the dense
-    /// finite-difference Jacobian is O(dim²) evaluations).
+    /// Largest dense part of the Jacobian the Newton polish may factor:
+    /// the border of dense columns (global scalars such as `s₁`, `s₂`,
+    /// `s_T`) split off from the band, or the whole Jacobian when it has
+    /// no band structure (pairwise rebalancing). The state dimension is
+    /// not capped. 0 disables the polish.
     pub newton_max_dim: usize,
     /// Grow the truncation when the boundary mass exceeds this.
     pub boundary_tol: f64,
@@ -186,6 +193,7 @@ fn solve_at_truncation<M: MeanFieldModel>(
     // dozen time units, far before the trajectory itself settles.
     let mut chunk = 50.0_f64.min(opts.steady.t_max);
     let mut residual;
+    let mut polish = opts.newton_max_dim > 0;
     loop {
         let stage = loadsteal_ode::solver::SteadyStateOptions {
             t_max: (t + chunk).min(opts.steady.t_max) - t,
@@ -195,9 +203,13 @@ fn solve_at_truncation<M: MeanFieldModel>(
         t = report.t;
         residual = report.residual;
 
-        if m.dim() <= opts.newton_max_dim {
-            if let Some((state, r)) = try_newton(m, &y, residual, opts) {
-                return Ok((state, r, true));
+        if polish {
+            match try_newton(m, &y, residual, opts) {
+                Polish::Converged(state, r) => return Ok((state, r, true)),
+                // The dense part is a property of the model, not of the
+                // starting point: later chunks would not change it.
+                Polish::TooDense => polish = false,
+                Polish::Failed => {}
             }
         }
         if report.converged {
@@ -213,19 +225,30 @@ fn solve_at_truncation<M: MeanFieldModel>(
     }
 }
 
-/// Attempt a Newton polish from `y`; returns the improved state when the
-/// iteration converges to a better residual than `residual`.
+/// Outcome of one Newton polish attempt.
+enum Polish {
+    /// Converged to the given state and residual.
+    Converged(Vec<f64>, f64),
+    /// The Jacobian's dense part exceeds `newton_max_dim`.
+    TooDense,
+    /// Did not converge from this starting point.
+    Failed,
+}
+
+/// Attempt a Newton polish from `y`; it succeeds when the iteration
+/// converges to a better residual than `residual`.
 fn try_newton<M: MeanFieldModel>(
     m: &M,
     y: &[f64],
     residual: f64,
     opts: &FixedPointOptions,
-) -> Option<(Vec<f64>, f64)> {
+) -> Polish {
     let mut trial = y.to_vec();
     // Interleaved attempts are speculative: bound the cost of a failed
-    // attempt (each iteration pays a dim² finite-difference Jacobian).
+    // attempt.
     let newton_opts = loadsteal_ode::NewtonOptions {
         max_iters: opts.newton.max_iters.min(25),
+        max_dense_dim: opts.newton_max_dim,
         ..opts.newton
     };
     match newton_solve(|x, out| m.deriv(0.0, x, out), &mut trial, &newton_opts) {
@@ -238,15 +261,16 @@ fn try_newton<M: MeanFieldModel>(
             // Accept only genuine convergence (not a stalled local
             // improvement far from the fixed point).
             if r < opts.newton.tol * 100.0 && r <= residual {
-                return Some((trial, r));
+                return Polish::Converged(trial, r);
             }
-            None
+            Polish::Failed
         }
+        Err(NewtonError::TooDense { .. }) => Polish::TooDense,
         Err(
             NewtonError::SingularJacobian { .. }
             | NewtonError::Stalled { .. }
             | NewtonError::MaxIterations { .. }
             | NewtonError::NonFinite,
-        ) => None,
+        ) => Polish::Failed,
     }
 }

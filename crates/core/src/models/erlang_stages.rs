@@ -132,17 +132,19 @@ impl OdeSystem for ErlangStages {
             let arrivals = lambda * (self.s_signed(y, i as isize - c as isize) - self.s(y, i));
             let stage_dep = cf * (self.s(y, i) - self.s(y, i + 1));
             // Thief side: a successful steal lifts an empty processor to
-            // exactly c stages, feeding every level i ≤ c.
-            let gain = if i <= c { steal_rate * sq } else { 0.0 };
-            // Victim side: qualifying victims with stages in
-            // [max(i, q), i+c−1] drop below i when robbed of c stages.
-            let lo = i.max(q);
-            let loss = if i + c > q {
-                steal_rate * (self.s(y, lo) - self.s(y, i + c))
+            // exactly c stages, feeding every level i ≤ c (rate
+            // steal_rate·s_q). Victim side: qualifying victims with stages
+            // in [max(i, q), i+c−1] drop below i when robbed of c stages.
+            // For i ≤ c < q the two share s_q, so take their difference
+            // in closed form rather than let s_q cancel up to rounding.
+            let steals = if i <= c {
+                steal_rate * self.s(y, q.max(i + c))
+            } else if i + c > q {
+                -steal_rate * (self.s(y, i.max(q)) - self.s(y, i + c))
             } else {
                 0.0
             };
-            dy[i - 1] = arrivals - stage_dep + gain - loss;
+            dy[i - 1] = arrivals - stage_dep + steals;
         }
     }
 

@@ -68,9 +68,15 @@ impl Heterogeneous {
             ));
         }
         // Tail decay is at worst governed by the slow class utilization
-        // λ/μ_s; if that exceeds 1, stealing carries the surplus and the
-        // tails still decay, so fall back to the aggregate utilization.
-        let ratio = (lambda / slow_rate).min(0.999).max(lambda / capacity);
+        // λ/μ_s; if that reaches 1, stealing carries the surplus and the
+        // tails still decay, so fall back to the aggregate utilization
+        // (the solver grows the truncation if mass still reaches it).
+        let aggregate = lambda / capacity;
+        let ratio = if lambda < slow_rate {
+            (lambda / slow_rate).max(aggregate)
+        } else {
+            aggregate
+        };
         let levels = crate::tail::truncation_for_ratio(ratio, 1e-14, 32, 8_192).max(threshold + 8);
         Ok(Self {
             lambda,
@@ -251,6 +257,7 @@ mod tests {
         // μ_f f₁ + μ_s g₁ = λ at the fixed point.
         let m = Heterogeneous::new(0.9, 0.25, 2.0, 0.8, 2).unwrap();
         let fp = solve(&m, &opts()).unwrap();
+        let m = m.with_truncation(fp.truncation);
         let f1 = fp.state[0];
         let g1 = fp.state[m.truncation()];
         let throughput = 2.0 * f1 + 0.8 * g1;
@@ -271,6 +278,7 @@ mod tests {
     fn slow_processors_hold_more_load() {
         let m = Heterogeneous::new(0.8, 0.5, 2.0, 0.6, 2).unwrap();
         let fp = solve(&m, &opts()).unwrap();
+        let m = m.with_truncation(fp.truncation);
         let (fast, slow) = m.class_tails(&fp.state);
         assert!(
             slow[1] > fast[1],

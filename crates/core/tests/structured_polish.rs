@@ -1,0 +1,215 @@
+//! The structured Newton polish against its dense oracle, and its
+//! coverage: every registry preset polishes at any truncation.
+//!
+//! The polish probes the Jacobian's sparsity pattern once and refills it
+//! by column colouring. That is exact only if the pattern holds every
+//! entry that can move, so each preset's coloured Jacobian is compared
+//! bit for bit with the per-column dense one at interior states.
+
+use loadsteal_core::fixed_point::{solve, FixedPointOptions};
+use loadsteal_core::models::{NoSteal, SimpleWs};
+use loadsteal_core::{MeanFieldModel, ModelRegistry, ModelSpec};
+use loadsteal_ode::bordered::BorderedBanded;
+use loadsteal_ode::jacobian::SparseJacobian;
+use loadsteal_ode::linalg::DenseMatrix;
+use loadsteal_ode::{AdaptiveOptions, DormandPrince45, NewtonOptions, OdeSystem};
+
+/// An interior state of `m`: the state 40 time units after empty,
+/// halved, plus 0.025–0.125 on every component. Integration alone leaves
+/// deep levels so small (below 1e-16 for multi-choice) that `1 − s_i`
+/// rounds to 1 and dependencies hide in rounding; the models' branches
+/// depend on level indices only, so any such state shows the full
+/// structure.
+fn interior_state<M: MeanFieldModel>(m: &M, seed: u64) -> Vec<f64> {
+    let mut y = m.empty_state();
+    DormandPrince45::new(AdaptiveOptions::default())
+        .integrate(m, 0.0, 40.0, &mut y)
+        .unwrap();
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    for v in &mut y {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+        *v = 0.5 * *v + 0.025 + 0.1 * u;
+    }
+    y
+}
+
+/// The forward-difference Jacobian one column at a time, as the dense
+/// polish computed it.
+fn dense_jacobian<M: MeanFieldModel>(m: &M, x: &[f64], fx: &[f64], fd_eps: f64) -> DenseMatrix {
+    let n = x.len();
+    let mut jac = DenseMatrix::zeros(n);
+    let mut x_pert = vec![0.0; n];
+    let mut f_pert = vec![0.0; n];
+    for j in 0..n {
+        x_pert.copy_from_slice(x);
+        let h = fd_eps * x[j].abs().max(1e-5);
+        x_pert[j] += h;
+        m.deriv(0.0, &x_pert, &mut f_pert);
+        for i in 0..n {
+            jac[(i, j)] = (f_pert[i] - fx[i]) / h;
+        }
+    }
+    jac
+}
+
+/// Refill `probed`'s pattern at `x` with the colouring the polish uses
+/// and compare it with the per-column dense Jacobian there: every
+/// pattern entry must match bit for bit. Returns the largest dense entry
+/// outside the pattern relative to the largest overall.
+fn refill_against_dense<M: MeanFieldModel>(
+    name: &str,
+    m: &M,
+    probed: &SparseJacobian,
+    x: &[f64],
+) -> f64 {
+    let fd_eps = NewtonOptions::default().fd_eps;
+    let mut fx = vec![0.0; x.len()];
+    m.deriv(0.0, x, &mut fx);
+    let dense = dense_jacobian(m, x, &fx, fd_eps);
+    let layout = BorderedBanded::analyse(probed);
+    let mut coloured = probed.clone();
+    coloured.refill(
+        |v, out| m.deriv(0.0, v, out),
+        x,
+        &fx,
+        fd_eps,
+        &probed.colour(layout.border()),
+    );
+    let mut in_pattern = DenseMatrix::zeros(x.len());
+    for (i, j, v) in coloured.entries() {
+        in_pattern[(i, j)] = 1.0;
+        assert_eq!(
+            v.to_bits(),
+            dense[(i, j)].to_bits(),
+            "{name} (dim {}): entry ({i}, {j}) coloured {v} vs dense {}",
+            x.len(),
+            dense[(i, j)],
+        );
+    }
+    let (mut outside, mut scale) = (0.0_f64, 0.0_f64);
+    for i in 0..x.len() {
+        for j in 0..x.len() {
+            scale = scale.max(dense[(i, j)].abs());
+            if in_pattern[(i, j)] == 0.0 {
+                outside = outside.max(dense[(i, j)].abs());
+            }
+        }
+    }
+    outside / scale
+}
+
+#[test]
+fn coloured_jacobian_equals_the_dense_one_for_every_preset() {
+    let fd_eps = NewtonOptions::default().fd_eps;
+    for p in ModelRegistry::standard().presets() {
+        let model = p.spec.mean_field().unwrap();
+        for levels in [24, 60] {
+            // Some models keep a floor above these (Erlang stages need
+            // several tasks' worth of stages).
+            let m = model.with_truncation(levels);
+            let a = interior_state(&m, 1);
+            let mut fa = vec![0.0; a.len()];
+            m.deriv(0.0, &a, &mut fa);
+            let probed = SparseJacobian::probe(|v, out| m.deriv(0.0, v, out), &a, &fa, fd_eps);
+            // At the probe point nothing lies outside the pattern.
+            assert_eq!(
+                refill_against_dense(p.name, &m, &probed, &a),
+                0.0,
+                "{}",
+                p.name
+            );
+            // At a second point, where the polish reuses the pattern, only
+            // rounding noise may: rebalance's telescoping prefix sums move
+            // by an ulp or so under perturbations they cancel exactly.
+            let outside = refill_against_dense(p.name, &m, &probed, &interior_state(&m, 2));
+            assert!(
+                outside < 1e-8,
+                "{}: entry {outside:e} outside the pattern",
+                p.name
+            );
+        }
+    }
+}
+
+fn assert_polished(spec: &ModelSpec) {
+    let fp = spec.fixed_point().unwrap_or_else(|e| panic!("{spec}: {e}"));
+    assert!(
+        fp.polished,
+        "{spec}: not polished (truncation {})",
+        fp.truncation
+    );
+    assert!(
+        fp.residual <= 1e-12,
+        "{spec}: residual {} at truncation {}",
+        fp.residual,
+        fp.truncation
+    );
+}
+
+#[test]
+fn every_preset_polishes_at_its_pinned_lambda() {
+    for p in ModelRegistry::standard().presets() {
+        assert_polished(&p.spec);
+    }
+}
+
+#[test]
+fn every_preset_polishes_at_lambda_0_9_and_0_95() {
+    for p in ModelRegistry::standard().presets() {
+        for lambda in [0.9, 0.95] {
+            assert_polished(&ModelSpec::parse(&format!("{},lambda={lambda}", p.name)).unwrap());
+        }
+    }
+}
+
+#[test]
+fn no_steal_at_lambda_0_99_is_mm1() {
+    let fp = ModelSpec::parse("no-steal,lambda=0.99")
+        .unwrap()
+        .fixed_point()
+        .unwrap();
+    assert!(fp.polished);
+    let exact = 1.0 / (1.0 - 0.99);
+    let rel = (fp.mean_time_in_system - exact).abs() / exact;
+    assert!(
+        rel < 1e-9,
+        "W = {} vs {exact} (rel {rel:e})",
+        fp.mean_time_in_system
+    );
+}
+
+#[test]
+fn simple_ws_at_lambda_0_99_matches_the_closed_form() {
+    let fp = ModelSpec::parse("simple-ws,lambda=0.99")
+        .unwrap()
+        .fixed_point()
+        .unwrap();
+    assert!(fp.polished);
+    let exact = SimpleWs::new(0.99).unwrap().closed_form_mean_time();
+    let rel = (fp.mean_time_in_system - exact).abs() / exact;
+    assert!(
+        rel < 1e-9,
+        "W = {} vs {exact} (rel {rel:e})",
+        fp.mean_time_in_system
+    );
+}
+
+#[test]
+fn dense_cap_bounds_the_border_not_the_dimension() {
+    // No-steal is tridiagonal: no dense part at all, so even a cap of 1
+    // lets a 3000-level system polish.
+    let m = NoSteal::new(0.99).unwrap();
+    assert!(m.dim() > 3000);
+    let opts = FixedPointOptions {
+        newton_max_dim: 1,
+        ..FixedPointOptions::default()
+    };
+    assert!(solve(&m, &opts).unwrap().polished);
+    // Simple WS carries two dense columns (s₁ and s₂): a cap of 1 leaves
+    // it to integration.
+    let m = SimpleWs::new(0.7).unwrap();
+    assert!(!solve(&m, &opts).unwrap().polished);
+}

@@ -1,0 +1,301 @@
+//! Finite-difference Jacobians that pay for their sparsity pattern once.
+//!
+//! The first Jacobian of a Newton solve is probed column by column, one
+//! evaluation of `F` per unknown, and every entry that moved is kept in
+//! compressed sparse column form: those entries are the pattern. Later
+//! Jacobians at nearby points reuse the pattern through Curtis–Powell–Reid
+//! column colouring: columns that touch disjoint rows are perturbed
+//! together, so one evaluation of `F` refills a whole colour group. The
+//! truncated mean-field families couple each level to a few neighbours
+//! plus a few global scalars, which takes a Jacobian from `n`
+//! evaluations to a handful.
+
+use crate::linalg::DenseMatrix;
+
+/// Forward-difference step for an unknown currently at `xj`.
+#[inline]
+fn fd_step(xj: f64, fd_eps: f64) -> f64 {
+    fd_eps * xj.abs().max(1e-5)
+}
+
+/// A forward-difference Jacobian stored by column (CSC): for column `j`,
+/// `rows[col_start[j]..col_start[j + 1]]` are the rows of its pattern in
+/// ascending order and `vals` the matching entries.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SparseJacobian {
+    n: usize,
+    col_start: Vec<usize>,
+    rows: Vec<usize>,
+    vals: Vec<f64>,
+}
+
+impl SparseJacobian {
+    /// Probe `∂F/∂x` at `x` (with `fx = F(x)`) one column at a time and
+    /// keep every nonzero difference: `n` evaluations of `F`. The entries
+    /// equal the dense forward-difference Jacobian's bit for bit.
+    pub fn probe(
+        mut f: impl FnMut(&[f64], &mut [f64]),
+        x: &[f64],
+        fx: &[f64],
+        fd_eps: f64,
+    ) -> Self {
+        let n = x.len();
+        let mut x_pert = x.to_vec();
+        let mut f_pert = vec![0.0; n];
+        let mut col_start = Vec::with_capacity(n + 1);
+        col_start.push(0);
+        let (mut rows, mut vals) = (Vec::new(), Vec::new());
+        for j in 0..n {
+            let h = fd_step(x[j], fd_eps);
+            x_pert[j] = x[j] + h;
+            f(&x_pert, &mut f_pert);
+            x_pert[j] = x[j];
+            for (i, (&a, &b)) in f_pert.iter().zip(fx).enumerate() {
+                let d = (a - b) / h;
+                if d != 0.0 {
+                    rows.push(i);
+                    vals.push(d);
+                }
+            }
+            col_start.push(rows.len());
+        }
+        Self {
+            n,
+            col_start,
+            rows,
+            vals,
+        }
+    }
+
+    /// The nonzero entries of a dense matrix, as a Jacobian with that
+    /// pattern.
+    pub fn from_dense(a: &DenseMatrix) -> Self {
+        let n = a.order();
+        let mut col_start = vec![0];
+        let (mut rows, mut vals) = (Vec::new(), Vec::new());
+        for j in 0..n {
+            for i in 0..n {
+                if a[(i, j)] != 0.0 {
+                    rows.push(i);
+                    vals.push(a[(i, j)]);
+                }
+            }
+            col_start.push(rows.len());
+        }
+        Self {
+            n,
+            col_start,
+            rows,
+            vals,
+        }
+    }
+
+    /// Recompute every pattern entry at `x` (with `fx = F(x)`) by
+    /// perturbing each colour group at once: one evaluation of `F` per
+    /// colour. Rows outside the pattern are assumed not to move.
+    pub fn refill(
+        &mut self,
+        mut f: impl FnMut(&[f64], &mut [f64]),
+        x: &[f64],
+        fx: &[f64],
+        fd_eps: f64,
+        colouring: &Colouring,
+    ) {
+        let mut x_pert = x.to_vec();
+        let mut f_pert = vec![0.0; self.n];
+        for group in colouring.groups() {
+            for &j in group {
+                x_pert[j] = x[j] + fd_step(x[j], fd_eps);
+            }
+            f(&x_pert, &mut f_pert);
+            for &j in group {
+                x_pert[j] = x[j];
+                let h = fd_step(x[j], fd_eps);
+                for k in self.col_start[j]..self.col_start[j + 1] {
+                    let i = self.rows[k];
+                    self.vals[k] = (f_pert[i] - fx[i]) / h;
+                }
+            }
+        }
+    }
+
+    /// Curtis–Powell–Reid colouring. Each column in `alone` gets a colour
+    /// of its own; the others, in order, greedily take the smallest colour
+    /// that no column sharing one of their rows holds.
+    ///
+    /// Dense columns belong in `alone`: they share rows with nearly every
+    /// column anyway, and their probed pattern is the likeliest to miss
+    /// entries that vanished at the probe point (rows whose state was
+    /// zero there), which a shared colour would then pick up.
+    pub fn colour(&self, alone: &[usize]) -> Colouring {
+        let n = self.n;
+        let (row_start, row_cols) = self.transpose();
+        let mut colour = vec![usize::MAX; n];
+        for (c, &j) in alone.iter().enumerate() {
+            colour[j] = c;
+        }
+        // `taken[c] == j` marks colour c as used by a neighbour of j.
+        let mut taken = vec![usize::MAX; alone.len()];
+        for j in 0..n {
+            if colour[j] != usize::MAX {
+                continue;
+            }
+            for &i in self.column_rows(j) {
+                for &k in &row_cols[row_start[i]..row_start[i + 1]] {
+                    if let Some(t) = taken.get_mut(colour[k]) {
+                        *t = j;
+                    }
+                }
+            }
+            colour[j] = match taken[alone.len()..].iter().position(|&t| t != j) {
+                Some(c) => alone.len() + c,
+                None => {
+                    taken.push(usize::MAX);
+                    taken.len() - 1
+                }
+            };
+        }
+        let (start, cols) = csr(taken.len(), || colour.iter().copied().zip(0..n));
+        Colouring { start, cols }
+    }
+
+    /// Order `n` of the (square) Jacobian.
+    pub(crate) fn order(&self) -> usize {
+        self.n
+    }
+
+    /// Number of stored entries.
+    pub(crate) fn nnz(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Rows of column `j`'s pattern, ascending.
+    fn column_rows(&self, j: usize) -> &[usize] {
+        &self.rows[self.col_start[j]..self.col_start[j + 1]]
+    }
+
+    /// Entries of column `j`, matching [`Self::column_rows`].
+    fn column_values(&self, j: usize) -> &[f64] {
+        &self.vals[self.col_start[j]..self.col_start[j + 1]]
+    }
+
+    /// Every stored entry as `(row, column, value)`, column by column.
+    pub fn entries(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+        (0..self.n).flat_map(move |j| {
+            self.column_rows(j)
+                .iter()
+                .zip(self.column_values(j))
+                .map(move |(&i, &v)| (i, j, v))
+        })
+    }
+
+    /// The Jacobian as a dense matrix (zeros off the pattern).
+    pub fn to_dense(&self) -> DenseMatrix {
+        let mut a = DenseMatrix::zeros(self.n);
+        for (i, j, v) in self.entries() {
+            a[(i, j)] = v;
+        }
+        a
+    }
+
+    /// Row-wise view of the pattern: `(row_start, cols)`.
+    fn transpose(&self) -> (Vec<usize>, Vec<usize>) {
+        csr(self.n, || self.entries().map(|(i, j, _)| (i, j)))
+    }
+}
+
+/// Counting sort of `(key, value)` pairs with keys in `0..keys` into
+/// compressed form: key `k`'s values are `values[start[k]..start[k + 1]]`,
+/// in the order `pairs` yields them. Returns `(start, values)`.
+pub(crate) fn csr<I: Iterator<Item = (usize, usize)>>(
+    keys: usize,
+    pairs: impl Fn() -> I,
+) -> (Vec<usize>, Vec<usize>) {
+    let mut start = vec![0; keys + 1];
+    for (k, _) in pairs() {
+        start[k + 1] += 1;
+    }
+    for k in 0..keys {
+        start[k + 1] += start[k];
+    }
+    let mut fill = start.clone();
+    let mut values = vec![0; start[keys]];
+    for (k, v) in pairs() {
+        values[fill[k]] = v;
+        fill[k] += 1;
+    }
+    (start, values)
+}
+
+/// A partition of the columns into groups whose patterns touch pairwise
+/// disjoint rows.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Colouring {
+    start: Vec<usize>,
+    cols: Vec<usize>,
+}
+
+impl Colouring {
+    /// The column groups, each in ascending column order.
+    pub(crate) fn groups(&self) -> impl Iterator<Item = &[usize]> + '_ {
+        self.start.windows(2).map(|w| &self.cols[w[0]..w[1]])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A tridiagonal map plus one dense column (x₀ feeds every row).
+    fn arrow(x: &[f64], out: &mut [f64]) {
+        let n = x.len();
+        for i in 0..n {
+            let left = if i > 0 { x[i - 1] } else { 0.0 };
+            let right = if i + 1 < n { x[i + 1] } else { 0.0 };
+            out[i] = 3.0 * x[i] - left - right * right + x[0] * x[i];
+        }
+    }
+
+    #[test]
+    fn probe_keeps_exactly_the_structural_nonzeros() {
+        let x: Vec<f64> = (0..8).map(|i| 1.0 + 0.1 * i as f64).collect();
+        let mut fx = vec![0.0; 8];
+        arrow(&x, &mut fx);
+        let jac = SparseJacobian::probe(arrow, &x, &fx, 1e-7);
+        assert_eq!(jac.column_rows(0), &[0, 1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(jac.column_rows(4), &[3, 4, 5]);
+        assert_eq!(jac.nnz(), 8 + 2 + 3 * 6);
+    }
+
+    #[test]
+    fn colouring_separates_columns_sharing_a_row() {
+        let x: Vec<f64> = (0..12).map(|i| 0.5 + 0.05 * i as f64).collect();
+        let mut fx = vec![0.0; 12];
+        arrow(&x, &mut fx);
+        let jac = SparseJacobian::probe(arrow, &x, &fx, 1e-7);
+        let colouring = jac.colour(&[0]);
+        // The dense column plus three for the tridiagonal band.
+        assert_eq!(colouring.groups().count(), 4);
+        for group in colouring.groups() {
+            let mut seen = [false; 12];
+            for &j in group {
+                for &i in jac.column_rows(j) {
+                    assert!(!seen[i], "row {i} hit twice in one colour");
+                    seen[i] = true;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn coloured_refill_reproduces_the_probe() {
+        let x: Vec<f64> = (0..12).map(|i| 0.5 + 0.05 * i as f64).collect();
+        let mut fx = vec![0.0; 12];
+        arrow(&x, &mut fx);
+        let probed = SparseJacobian::probe(arrow, &x, &fx, 1e-7);
+        let mut refilled = probed.clone();
+        refilled.vals.iter_mut().for_each(|v| *v = f64::NAN);
+        refilled.refill(arrow, &x, &fx, 1e-7, &probed.colour(&[0]));
+        assert_eq!(refilled, probed);
+    }
+}

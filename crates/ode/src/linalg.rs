@@ -1,6 +1,7 @@
 //! Minimal dense linear algebra: a row-major matrix and LU factorization
-//! with partial pivoting, sufficient for Newton polishing of truncated
-//! fixed-point systems (dimensions up to a few hundred).
+//! with partial pivoting, for the dense part of a Newton polish (the
+//! Schur complement of [`crate::bordered`], or a whole Jacobian without
+//! band structure, up to a few hundred unknowns).
 
 /// A dense, row-major `n × n` matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]

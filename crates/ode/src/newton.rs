@@ -1,12 +1,20 @@
-//! Damped Newton iteration with a finite-difference Jacobian.
+//! Damped Newton iteration with a structured finite-difference Jacobian.
 //!
 //! Fixed points of a truncated mean-field family are roots of the
 //! algebraic system `F(π) = 0`, where `F` is the right-hand side of the
 //! ODEs. Integrating to steady state gets within `~1e-8`; this module
 //! polishes that estimate to close to machine precision, which matters
 //! when the performance metric is a long geometric sum of the tail.
+//!
+//! The Jacobian of such a system is bordered-banded: each level couples
+//! to a few neighbours, plus a few global scalars couple to everything.
+//! The first iteration probes it column by column and keeps its pattern
+//! ([`crate::jacobian`]); later iterations refill the pattern with one
+//! evaluation per column colour, and every Jacobian is factored as a band
+//! plus a dense border ([`crate::bordered`]).
 
-use crate::linalg::DenseMatrix;
+use crate::bordered::BorderedBanded;
+use crate::jacobian::{Colouring, SparseJacobian};
 use crate::norms::max_abs;
 
 /// Options for [`newton_solve`].
@@ -21,6 +29,11 @@ pub struct NewtonOptions {
     /// Smallest admissible damping factor in the backtracking line
     /// search before the iteration is declared stalled.
     pub min_damping: f64,
+    /// Largest dense part the factorization may take on: the border of
+    /// dense rows and columns, or the whole Jacobian when the probed
+    /// pattern has no band structure. A larger one is
+    /// [`NewtonError::TooDense`]; the band itself is not capped.
+    pub max_dense_dim: usize,
 }
 
 impl Default for NewtonOptions {
@@ -30,6 +43,7 @@ impl Default for NewtonOptions {
             max_iters: 50,
             fd_eps: 1e-7,
             min_damping: 1.0 / 1024.0,
+            max_dense_dim: 700,
         }
     }
 }
@@ -51,6 +65,14 @@ pub enum NewtonError {
         /// Iteration at which factorization failed.
         iteration: usize,
     },
+    /// The probed Jacobian's dense part exceeds
+    /// [`NewtonOptions::max_dense_dim`].
+    TooDense {
+        /// Order of the dense part the factorization would need.
+        dense: usize,
+        /// The configured cap.
+        limit: usize,
+    },
     /// Backtracking could not reduce the residual.
     Stalled {
         /// Residual at the stall point.
@@ -70,6 +92,12 @@ impl std::fmt::Display for NewtonError {
         match self {
             Self::SingularJacobian { iteration } => {
                 write!(f, "singular Jacobian at Newton iteration {iteration}")
+            }
+            Self::TooDense { dense, limit } => {
+                write!(
+                    f,
+                    "Jacobian has a dense part of order {dense} (cap {limit})"
+                )
             }
             Self::Stalled { residual } => {
                 write!(f, "Newton line search stalled at residual {residual}")
@@ -102,9 +130,12 @@ impl std::error::Error for NewtonError {}
 /// assert!((x[0] - 0.5f64.sqrt()).abs() < 1e-12);
 /// ```
 ///
-/// `f(x, out)` writes `F(x)` into `out` (same length as `x`). The
-/// Jacobian is approximated column-by-column with forward differences,
-/// factored with partially pivoted LU, and each Newton step is damped by
+/// `f(x, out)` writes `F(x)` into `out` (same length as `x`). The first
+/// Jacobian is approximated column by column with forward differences,
+/// which also records its sparsity pattern; later ones refill that
+/// pattern with one evaluation per Curtis–Powell–Reid column colour.
+/// Each Jacobian is factored as a reverse Cuthill–McKee band with a dense
+/// border ([`BorderedBanded`]), and each Newton step is damped by
 /// backtracking until the residual decreases (Armijo-free monotone
 /// test — adequate because our fixed points are strongly attracting).
 pub fn newton_solve(
@@ -116,14 +147,13 @@ pub fn newton_solve(
     let mut fx = vec![0.0; n];
     let mut fx_trial = vec![0.0; n];
     let mut x_trial = vec![0.0; n];
-    let mut x_pert = vec![0.0; n];
-    let mut f_pert = vec![0.0; n];
 
     f(x, &mut fx);
     if fx.iter().any(|v| !v.is_finite()) {
         return Err(NewtonError::NonFinite);
     }
     let mut res = max_abs(&fx);
+    let mut structure: Option<(SparseJacobian, BorderedBanded, Colouring)> = None;
 
     for iter in 0..opts.max_iters {
         if res < opts.tol {
@@ -132,19 +162,24 @@ pub fn newton_solve(
                 residual: res,
             });
         }
-        // Finite-difference Jacobian, one column per variable.
-        let mut jac = DenseMatrix::zeros(n);
-        for j in 0..n {
-            x_pert.copy_from_slice(x);
-            let h = opts.fd_eps * x[j].abs().max(1e-5);
-            x_pert[j] += h;
-            f(&x_pert, &mut f_pert);
-            for i in 0..n {
-                jac[(i, j)] = (f_pert[i] - fx[i]) / h;
+        match &mut structure {
+            Some((jac, _, colouring)) => jac.refill(&mut f, x, &fx, opts.fd_eps, colouring),
+            None => {
+                let jac = SparseJacobian::probe(&mut f, x, &fx, opts.fd_eps);
+                let layout = BorderedBanded::analyse(&jac);
+                if layout.dense_dim() > opts.max_dense_dim {
+                    return Err(NewtonError::TooDense {
+                        dense: layout.dense_dim(),
+                        limit: opts.max_dense_dim,
+                    });
+                }
+                let colouring = jac.colour(layout.border());
+                structure = Some((jac, layout, colouring));
             }
         }
-        let lu = jac
-            .lu()
+        let (jac, layout, _) = structure.as_ref().expect("probed above");
+        let lu = layout
+            .factor(jac)
             .map_err(|_| NewtonError::SingularJacobian { iteration: iter })?;
         // Newton direction: J dx = -F.
         let mut dx: Vec<f64> = fx.iter().map(|v| -v).collect();
