@@ -3,160 +3,122 @@
 use loadsteal_core::fixed_point::{solve as solve_fp, solve_traced, FixedPoint, FixedPointOptions};
 use loadsteal_core::models::{MeanFieldModel, SimpleWs, StaticDrain};
 use loadsteal_core::rate::{fit_power_law, geometric_grid};
-use loadsteal_core::spec::{PolicySpec, ServiceSpec, SpeedSpec};
 use loadsteal_core::stability::{check_l1_contraction, theorem_condition_holds};
 use loadsteal_core::tail::TailVector;
 use loadsteal_core::{ModelRegistry, ModelSpec, PresetTier};
+use loadsteal_exec::stealbench::{StealBench, StealBenchConfig};
 use loadsteal_obs::{
     prometheus_text, EventCounts, Recorder, Registry, RegistryRecorder, SharedRecorder,
     TailReference, TraceHeader, TAIL_SAMPLE_DEPTH,
 };
 use loadsteal_sim::{
-    replicate, replicate_recorded, EngineKind, SimConfig, StealPolicy, ToSimConfig,
-    DEFAULT_HEARTBEAT_EVERY,
+    replicate, replicate_recorded, SimConfig, StealPolicy, ToSimConfig, DEFAULT_HEARTBEAT_EVERY,
 };
 use loadsteal_trace::{
-    read_bytes, transient, MeanFieldPrediction, ReadMode, Timeline, TimelineConfig,
+    read_bytes, transient, MeanFieldPrediction, ParsedTrace, ReadMode, Timeline, TimelineConfig,
     TransientAnalysis, TransientOptions,
 };
 
 use crate::args::Args;
 use crate::obs::{manifest, say, Narrator, ObsOpts, OBS_FLAGS};
 
-const MODEL_FLAGS: &[&str] = &[
-    "model",
-    "lambda",
-    "threshold",
-    "choices",
-    "batch",
-    "begin",
-    "rate",
-    "stages",
-    "per-task",
-    "fast-frac",
-    "fast",
-    "slow",
-    "levels",
-    "internal",
-];
+/// The flags [`model_spec`] reads.
+const MODEL_FLAGS: &[&str] = &["model", "lambda"];
 
-/// The pre-registry `--model` names, kept working verbatim. Each
-/// translates into the equivalent [`ModelSpec`], so the legacy and
-/// registry grammars share one dispatch path.
-const LEGACY_MODELS: &[&str] = &[
-    "simple",
-    "nosteal",
-    "threshold",
-    "general",
-    "multichoice",
-    "multisteal",
-    "preemptive",
-    "repeated",
-    "erlang",
-    "transfer",
-    "rebalance",
-    "heterogeneous",
-];
-
-/// Translate a legacy `--model` name plus its per-knob flags into a
-/// [`ModelSpec`]; `Ok(None)` when the name is not a legacy one.
-fn legacy_model_spec(a: &Args, model: &str) -> Result<Option<ModelSpec>, String> {
-    if !LEGACY_MODELS.contains(&model) {
-        return Ok(None);
-    }
-    let mut spec = ModelSpec::simple_ws(a.required::<f64>("lambda")?);
-    match model {
-        "simple" => {}
-        "nosteal" => spec.policy = PolicySpec::NoSteal,
-        "threshold" => {
-            spec.policy = PolicySpec::OnEmpty {
-                threshold: a.get_or("threshold", 2)?,
-                choices: 1,
-                batch: 1,
-            }
-        }
-        "general" => {
-            spec.policy = PolicySpec::OnEmpty {
-                threshold: a.get_or("threshold", 2)?,
-                choices: a.get_or("choices", 1u32)?,
-                batch: a.get_or("batch", 1)?,
-            }
-        }
-        "multichoice" => {
-            spec.policy = PolicySpec::OnEmpty {
-                threshold: a.get_or("threshold", 2)?,
-                choices: a.get_or("choices", 2u32)?,
-                batch: 1,
-            }
-        }
-        "multisteal" => {
-            spec.policy = PolicySpec::OnEmpty {
-                threshold: a.get_or("threshold", 4)?,
-                choices: 1,
-                batch: a.get_or("batch", 2)?,
-            }
-        }
-        "preemptive" => {
-            spec.policy = PolicySpec::Preemptive {
-                begin_at: a.get_or("begin", 1)?,
-                rel_threshold: a.get_or("threshold", 3)?,
-            }
-        }
-        "repeated" => {
-            spec.policy = PolicySpec::Repeated {
-                rate: a.get_or("rate", 1.0)?,
-                threshold: a.get_or("threshold", 2)?,
-            }
-        }
-        "erlang" => {
-            spec.service = ServiceSpec::Erlang {
-                stages: a.get_or("stages", 10)?,
-            }
-        }
-        "transfer" => {
-            spec.policy = PolicySpec::OnEmpty {
-                threshold: a.get_or("threshold", 4)?,
-                choices: 1,
-                batch: 1,
-            };
-            spec.transfer_rate = Some(a.get_or("rate", 0.25)?);
-        }
-        "rebalance" => {
-            spec.policy = PolicySpec::Rebalance {
-                rate: a.get_or("rate", 1.0)?,
-                per_task: a.get_or("per-task", false)?,
-            }
-        }
-        "heterogeneous" => {
-            spec.policy = PolicySpec::OnEmpty {
-                threshold: a.get_or("threshold", 2)?,
-                choices: 1,
-                batch: 1,
-            };
-            spec.speeds = SpeedSpec::TwoClass {
-                fast_fraction: a.get_or("fast-frac", 0.5)?,
-                fast_rate: a.get_or("fast", 1.5)?,
-                slow_rate: a.get_or("slow", 0.8)?,
-            };
-        }
-        _ => unreachable!("LEGACY_MODELS and this match list the same names"),
-    }
-    Ok(Some(spec))
-}
-
-/// Resolve `--model` (default `default`) into a [`ModelSpec`]: legacy
-/// names first, then the shared `<preset|key=val,...>` grammar with
-/// `--lambda` appended as an override (last key wins).
-fn model_spec(a: &Args, default: &str) -> Result<ModelSpec, String> {
-    let model = a.raw("model").unwrap_or(default);
-    if let Some(spec) = legacy_model_spec(a, model)? {
-        return Ok(spec);
-    }
-    let mut text = model.to_owned();
+/// Resolve `--model` (default `simple-ws`) through the shared
+/// `<preset|key=val,...>` grammar, with `--lambda` appended as an
+/// override (last key wins).
+fn model_spec(a: &Args) -> Result<ModelSpec, String> {
+    let mut text = a.raw("model").unwrap_or("simple-ws").to_owned();
     if let Some(l) = a.get::<f64>("lambda")? {
         text.push_str(&format!(",lambda={l}"));
     }
     ModelSpec::parse(&text)
+}
+
+/// The model a trace is analysed against: `--model` through
+/// [`model_spec`] when given, otherwise the trace header's spec
+/// re-pinned to `--lambda` (the paper's basic model when the header
+/// names none). `None` when neither flag nor header names a model.
+fn trace_model_spec(a: &Args, trace: &ParsedTrace) -> Result<Option<ModelSpec>, String> {
+    if a.raw("model").is_some() {
+        return model_spec(a).map(Some);
+    }
+    let header_spec = trace
+        .header
+        .as_ref()
+        .and_then(|h| h.model.as_deref())
+        .and_then(|m| match ModelSpec::parse(m) {
+            Ok(s) => Some(s),
+            Err(e) => {
+                eprintln!("warning: ignoring unparseable trace-header model: {e}");
+                None
+            }
+        });
+    Ok(match a.get::<f64>("lambda")? {
+        Some(l) => Some(match header_spec {
+            Some(s) => s.with_lambda(l),
+            None => ModelSpec::simple_ws(l),
+        }),
+        None => header_spec,
+    })
+}
+
+/// Read the one trace operand of `loadsteal <cmd>`: the positional
+/// argument or `--input`, where `-` is stdin so the command pipes from
+/// `simulate --trace -`. Raw bytes, not a string, so `--lossy` can skip
+/// a corrupt region line by line; without it the first bad line fails.
+/// Returns the path as given alongside the parsed trace.
+fn read_trace<'a>(a: &'a Args, cmd: &str, usage: &str) -> Result<(&'a str, ParsedTrace), String> {
+    let path = a
+        .positional(0)
+        .or_else(|| a.raw("input"))
+        .ok_or_else(|| format!("usage: loadsteal {cmd} <trace.ndjson|-> {usage}"))?;
+    if a.positional(1).is_some() {
+        return Err(format!("{cmd} takes exactly one trace file"));
+    }
+    let bytes = if path == "-" {
+        use std::io::Read as _;
+        let mut buf = Vec::new();
+        std::io::stdin()
+            .read_to_end(&mut buf)
+            .map_err(|e| format!("cannot read stdin: {e}"))?;
+        buf
+    } else {
+        std::fs::read(path).map_err(|e| format!("cannot read trace {path:?}: {e}"))?
+    };
+    let mode = if a.switch("lossy") {
+        ReadMode::Lossy
+    } else {
+        ReadMode::Strict
+    };
+    let parsed = read_bytes(&bytes, mode).map_err(|e| format!("{path}: {e} (try --lossy)"))?;
+    if !parsed.skipped.is_empty() {
+        eprintln!(
+            "warning: skipped {} of {} lines (first: {})",
+            parsed.skipped.len(),
+            parsed.lines,
+            parsed.skipped[0]
+        );
+    }
+    Ok((path, parsed))
+}
+
+/// The flags [`stealbench_config`] reads.
+pub(crate) const STEALBENCH_FLAGS: &[&str] = &["workers", "lambda", "horizon", "tau-ms", "seed"];
+
+/// The real-pool workload shared by `stealbench`, `serve --stealbench`
+/// and `top`: 16 workers at λ = 0.9 for 400 model units of τ = 4 ms.
+pub(crate) fn stealbench_config(a: &Args) -> Result<StealBenchConfig, String> {
+    let cfg = StealBenchConfig {
+        workers: a.get_or("workers", 16)?,
+        lambda: a.get_or("lambda", 0.9)?,
+        horizon: a.get_or("horizon", 400.0)?,
+        tau: a.get_or::<f64>("tau-ms", 4.0)? / 1_000.0,
+        seed: a.get_or("seed", 42)?,
+    };
+    cfg.validate()?;
+    Ok(cfg)
 }
 
 /// Add the solver counters common to every traced command.
@@ -177,12 +139,10 @@ fn solver_metrics(reg: &Registry, c: &EventCounts) {
 
 /// `loadsteal solve` — fixed point metrics.
 pub fn solve(a: &Args) -> Result<(), String> {
-    let mut known = MODEL_FLAGS.to_vec();
-    known.extend_from_slice(OBS_FLAGS);
-    a.ensure_known(&known)?;
+    a.ensure_known(&[MODEL_FLAGS, OBS_FLAGS].concat())?;
     let obs = ObsOpts::from_args(a)?;
     let out = Narrator::new(obs.machine_stdout());
-    let spec = model_spec(a, "simple")?;
+    let spec = model_spec(a)?;
     let canonical = spec.to_string();
     let mut rec = obs.recorder()?;
     rec.write_header(&TraceHeader {
@@ -238,9 +198,9 @@ pub fn solve(a: &Args) -> Result<(), String> {
 
 /// `loadsteal tails` — fixed point occupancy tails.
 pub fn tails(a: &Args) -> Result<(), String> {
-    a.ensure_known(MODEL_FLAGS)?;
+    a.ensure_known(&[MODEL_FLAGS, &["levels"]].concat())?;
     let levels: usize = a.get_or("levels", 12)?;
-    let spec = model_spec(a, "simple")?;
+    let spec = model_spec(a)?;
     let model = spec.mean_field().map_err(|e| e.to_string())?;
     let name = model.name();
     let fp = solve_fp(&model, &FixedPointOptions::default()).map_err(|e| e.to_string())?;
@@ -259,23 +219,13 @@ const SIM_FLAGS: &[&str] = &[
     "n",
     "model",
     "lambda",
-    "policy",
-    "threshold",
-    "choices",
-    "batch",
-    "begin",
-    "rate",
-    "transfer-rate",
     "runs",
     "horizon",
     "warmup",
     "seed",
     "internal",
-    "service-stages",
-    "constant-service",
     "heartbeat-every",
     "sample-tails",
-    "engine",
 ];
 
 /// Solve the mean-field companion of a simulated spec, feeding the
@@ -301,73 +251,6 @@ fn companion_fixed_point(spec: &ModelSpec, rec: &mut dyn Recorder) -> Option<(St
     }
 }
 
-/// Flags that parameterize the legacy `--policy` path and therefore
-/// conflict with `--model` (whose spec already fixes those knobs).
-const LEGACY_SIM_FLAGS: &[&str] = &[
-    "policy",
-    "threshold",
-    "choices",
-    "batch",
-    "begin",
-    "rate",
-    "transfer-rate",
-    "service-stages",
-    "constant-service",
-];
-
-/// Resolve what system `simulate`/`serve` runs: the `--model` spec
-/// grammar when given (rejecting the legacy per-knob flags), otherwise
-/// the legacy `--policy` flag family translated into a spec.
-fn simulate_spec(a: &Args) -> Result<ModelSpec, String> {
-    if let Some(model) = a.raw("model") {
-        if let Some(conflict) = LEGACY_SIM_FLAGS.iter().find(|f| a.raw(f).is_some()) {
-            return Err(format!(
-                "--model and --{conflict} conflict; fold the parameter into the spec \
-                 (e.g. --model \"{model},T=4\")"
-            ));
-        }
-        let mut text = model.to_owned();
-        if let Some(l) = a.get::<f64>("lambda")? {
-            text.push_str(&format!(",lambda={l}"));
-        }
-        return ModelSpec::parse(&text);
-    }
-    let mut spec = ModelSpec::simple_ws(a.required::<f64>("lambda")?);
-    spec.policy = match a.raw("policy").unwrap_or("simple") {
-        "none" => PolicySpec::NoSteal,
-        "simple" => PolicySpec::OnEmpty {
-            threshold: 2,
-            choices: 1,
-            batch: 1,
-        },
-        "threshold" => PolicySpec::OnEmpty {
-            threshold: a.get_or("threshold", 2)?,
-            choices: a.get_or("choices", 1u32)?,
-            batch: a.get_or("batch", 1)?,
-        },
-        "preemptive" => PolicySpec::Preemptive {
-            begin_at: a.get_or("begin", 1)?,
-            rel_threshold: a.get_or("threshold", 3)?,
-        },
-        "repeated" => PolicySpec::Repeated {
-            rate: a.get_or("rate", 1.0)?,
-            threshold: a.get_or("threshold", 2)?,
-        },
-        "rebalance" => PolicySpec::Rebalance {
-            rate: a.get_or("rate", 1.0)?,
-            per_task: false,
-        },
-        other => return Err(format!("unknown policy {other:?}")),
-    };
-    if a.get_or("constant-service", false)? {
-        spec.service = ServiceSpec::Deterministic;
-    } else if let Some(stages) = a.get::<u32>("service-stages")? {
-        spec.service = ServiceSpec::Erlang { stages };
-    }
-    spec.transfer_rate = a.get::<f64>("transfer-rate")?;
-    Ok(spec)
-}
-
 /// Build a [`SimConfig`] for `spec` with the run-shape flags (horizon,
 /// warmup, internal arrivals, heartbeat cadence) applied on top. `--n`
 /// defaults to 128, the paper's largest simulated system.
@@ -379,9 +262,6 @@ fn sim_config(a: &Args, spec: &ModelSpec) -> Result<SimConfig, String> {
     cfg.internal_lambda = a.get_or("internal", 0.0)?;
     cfg.heartbeat_every = a.get_or("heartbeat-every", DEFAULT_HEARTBEAT_EVERY)?;
     cfg.sample_tails = a.get::<f64>("sample-tails")?;
-    if let Some(engine) = a.raw("engine") {
-        cfg.engine = EngineKind::parse(engine)?;
-    }
     cfg.validate().map_err(|e| e.to_string())?;
     Ok(cfg)
 }
@@ -391,7 +271,7 @@ pub fn simulate(a: &Args) -> Result<(), String> {
     let mut known = SIM_FLAGS.to_vec();
     known.extend_from_slice(OBS_FLAGS);
     a.ensure_known(&known)?;
-    let spec = simulate_spec(a)?;
+    let spec = model_spec(a)?;
     let canonical = spec.to_string();
     let mut cfg = sim_config(a, &spec)?;
     let n = cfg.n;
@@ -536,27 +416,10 @@ pub fn simulate(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Flags accepted by `loadsteal converge` (the sim-flag family minus
-/// the per-run shape flags it owns, plus the grid bounds).
+/// Flags accepted by `loadsteal converge`: the model, the grid bounds
+/// and the per-size run shape.
 const CONVERGE_FLAGS: &[&str] = &[
-    "model",
-    "lambda",
-    "policy",
-    "threshold",
-    "choices",
-    "batch",
-    "begin",
-    "rate",
-    "transfer-rate",
-    "service-stages",
-    "constant-service",
-    "n-min",
-    "n-max",
-    "runs",
-    "horizon",
-    "warmup",
-    "seed",
-    "engine",
+    "model", "lambda", "n-min", "n-max", "runs", "horizon", "warmup", "seed",
 ];
 
 /// `loadsteal converge` — measure the finite-size convergence rate.
@@ -573,7 +436,7 @@ pub fn converge(a: &Args) -> Result<(), String> {
     let mut known = CONVERGE_FLAGS.to_vec();
     known.extend_from_slice(OBS_FLAGS);
     a.ensure_known(&known)?;
-    let spec = simulate_spec(a)?;
+    let spec = model_spec(a)?;
     let canonical = spec.to_string();
     let n_min: usize = a.get_or("n-min", 128)?;
     let n_max: usize = a.get_or("n-max", 2_048)?;
@@ -609,9 +472,6 @@ pub fn converge(a: &Args) -> Result<(), String> {
         let mut cfg = spec.sim_config(n).map_err(|e| e.to_string())?;
         cfg.horizon = horizon;
         cfg.warmup = warmup;
-        if let Some(engine) = a.raw("engine") {
-            cfg.engine = EngineKind::parse(engine)?;
-        }
         cfg.validate().map_err(|e| e.to_string())?;
         let result = replicate(&cfg, runs, seed);
         let tails = result.mean_load_tails();
@@ -747,17 +607,8 @@ pub fn drain(a: &Args) -> Result<(), String> {
 pub fn stealbench(a: &Args) -> Result<(), String> {
     use std::sync::Arc;
 
-    let mut known = vec!["workers", "lambda", "horizon", "tau-ms", "seed"];
-    known.extend_from_slice(OBS_FLAGS);
-    a.ensure_known(&known)?;
-    let cfg = loadsteal_exec::stealbench::StealBenchConfig {
-        workers: a.get_or("workers", 16)?,
-        lambda: a.get_or("lambda", 0.9)?,
-        horizon: a.get_or("horizon", 400.0)?,
-        tau: a.get_or::<f64>("tau-ms", 4.0)? / 1_000.0,
-        seed: a.get_or("seed", 42)?,
-    };
-    cfg.validate()?;
+    a.ensure_known(&[STEALBENCH_FLAGS, OBS_FLAGS].concat())?;
+    let cfg = stealbench_config(a)?;
     let spec = ModelSpec::simple_ws(cfg.lambda);
     let canonical = spec.to_string();
 
@@ -798,10 +649,8 @@ pub fn stealbench(a: &Args) -> Result<(), String> {
         rec,
         cfg.workers + 1,
     ));
-    let bench = loadsteal_exec::stealbench::StealBench::new_sharded(
-        &cfg,
-        Arc::clone(&sink) as Arc<dyn loadsteal_obs::ShardSink>,
-    )?;
+    let bench =
+        StealBench::new_sharded(&cfg, Arc::clone(&sink) as Arc<dyn loadsteal_obs::ShardSink>)?;
     bench.drive();
     let (outcome, per_worker) = bench.finish_detailed();
     // The pool joined its workers at shutdown, so ours is the last
@@ -892,41 +741,11 @@ pub fn stealbench(a: &Args) -> Result<(), String> {
 /// trace and compare it against the mean-field prediction.
 pub fn report(a: &Args) -> Result<(), String> {
     a.ensure_known(&["warmup", "lambda", "model", "input"])?;
-    let path = a.positional(0).or_else(|| a.raw("input")).ok_or(
-        "usage: loadsteal report <trace.ndjson|-> [--lossy] [--warmup T] [--model M] [--lambda λ]",
+    let (_, parsed) = read_trace(
+        a,
+        "report",
+        "[--lossy] [--warmup T] [--model M] [--lambda λ]",
     )?;
-    if a.positional(1).is_some() {
-        return Err("report takes exactly one trace file".into());
-    }
-    // Raw bytes, not read_to_string: a trace with one corrupt region
-    // should still be reportable under --lossy, with the bad lines
-    // diagnosed individually instead of the whole file rejected. `-`
-    // reads stdin so the command pipes directly from
-    // `simulate --trace -` or `stealbench --trace -`.
-    let bytes = if path == "-" {
-        use std::io::Read as _;
-        let mut buf = Vec::new();
-        std::io::stdin()
-            .read_to_end(&mut buf)
-            .map_err(|e| format!("cannot read stdin: {e}"))?;
-        buf
-    } else {
-        std::fs::read(path).map_err(|e| format!("cannot read trace {path:?}: {e}"))?
-    };
-    let mode = if a.switch("lossy") {
-        ReadMode::Lossy
-    } else {
-        ReadMode::Strict
-    };
-    let parsed = read_bytes(&bytes, mode).map_err(|e| format!("{path}: {e} (try --lossy)"))?;
-    if !parsed.skipped.is_empty() {
-        eprintln!(
-            "warning: skipped {} of {} lines (first: {})",
-            parsed.skipped.len(),
-            parsed.lines,
-            parsed.skipped[0]
-        );
-    }
     let warmup: f64 = a.get_or("warmup", 0.0)?;
     let tl = Timeline::build(
         &parsed.events,
@@ -936,42 +755,14 @@ pub fn report(a: &Args) -> Result<(), String> {
         },
     );
 
-    // Mean-field comparison. The model resolves in precedence order:
-    // an explicit --model spec, then --lambda (re-pinning the trace
-    // header's model, or the paper's basic model without one), then the
-    // trace's self-describing header verbatim, and finally the basic
-    // model at the measured arrival rate. A spec with no mean-field
-    // equations or an unstable rate simply drops the prediction columns.
-    let header_spec = parsed
-        .header
-        .as_ref()
-        .and_then(|h| h.model.as_deref())
-        .and_then(|m| match ModelSpec::parse(m) {
-            Ok(s) => Some(s),
-            Err(e) => {
-                eprintln!("warning: ignoring unparseable trace-header model: {e}");
-                None
-            }
-        });
-    let spec = match a.raw("model") {
-        Some(model) => {
-            let mut text = model.to_owned();
-            if let Some(l) = a.get::<f64>("lambda")? {
-                text.push_str(&format!(",lambda={l}"));
-            }
-            Some(ModelSpec::parse(&text)?)
-        }
-        None => match a.get::<f64>("lambda")? {
-            Some(l) => Some(match header_spec {
-                Some(s) => s.with_lambda(l),
-                None => ModelSpec::simple_ws(l),
-            }),
-            None => header_spec.or_else(|| {
-                let l = tl.arrival_rate();
-                (l > 0.0 && l < 1.0).then(|| ModelSpec::simple_ws(l))
-            }),
-        },
-    };
+    // Mean-field comparison against --model, --lambda or the trace
+    // header (see `trace_model_spec`), and otherwise the basic model at
+    // the measured arrival rate. A spec with no mean-field equations or
+    // an unstable rate simply drops the prediction columns.
+    let spec = trace_model_spec(a, &parsed)?.or_else(|| {
+        let l = tl.arrival_rate();
+        (l > 0.0 && l < 1.0).then(|| ModelSpec::simple_ws(l))
+    });
     let pred = spec.and_then(|s| {
         let fp = s.fixed_point().ok()?;
         let pi2 = fp.task_tails.get(2).copied().unwrap_or(0.0);
@@ -990,39 +781,7 @@ pub fn report(a: &Args) -> Result<(), String> {
 /// decomposition, migrated-vs-local comparison, and chain statistics.
 pub fn jobs(a: &Args) -> Result<(), String> {
     a.ensure_known(&["warmup", "input"])?;
-    let path = a
-        .positional(0)
-        .or_else(|| a.raw("input"))
-        .ok_or("usage: loadsteal jobs <trace.ndjson|-> [--lossy] [--warmup T]")?;
-    if a.positional(1).is_some() {
-        return Err("jobs takes exactly one trace file".into());
-    }
-    // `-` reads stdin so the command composes with
-    // `simulate --trace-jobs --trace -` in a single pipe.
-    let bytes = if path == "-" {
-        use std::io::Read as _;
-        let mut buf = Vec::new();
-        std::io::stdin()
-            .read_to_end(&mut buf)
-            .map_err(|e| format!("cannot read stdin: {e}"))?;
-        buf
-    } else {
-        std::fs::read(path).map_err(|e| format!("cannot read trace {path:?}: {e}"))?
-    };
-    let mode = if a.switch("lossy") {
-        ReadMode::Lossy
-    } else {
-        ReadMode::Strict
-    };
-    let parsed = read_bytes(&bytes, mode).map_err(|e| format!("{path}: {e} (try --lossy)"))?;
-    if !parsed.skipped.is_empty() {
-        eprintln!(
-            "warning: skipped {} of {} lines (first: {})",
-            parsed.skipped.len(),
-            parsed.lines,
-            parsed.skipped[0]
-        );
-    }
+    let (_, parsed) = read_trace(a, "jobs", "[--lossy] [--warmup T]")?;
     let warmup: f64 = a.get_or("warmup", 0.0)?;
     let analysis = loadsteal_trace::JobAnalysis::build(&parsed.events, warmup);
     if analysis.arrived == 0 {
@@ -1060,37 +819,11 @@ pub fn transient(a: &Args) -> Result<(), String> {
         "epsilon",
         "metrics-json",
     ])?;
-    let path = a.positional(0).or_else(|| a.raw("input")).ok_or(
-        "usage: loadsteal transient <trace.ndjson|-> [--lossy] [--model M] [--lambda λ] \
-         [--n N] [--depth K] [--epsilon ε]",
+    let (path, parsed) = read_trace(
+        a,
+        "transient",
+        "[--lossy] [--model M] [--lambda λ] [--n N] [--depth K] [--epsilon ε]",
     )?;
-    if a.positional(1).is_some() {
-        return Err("transient takes exactly one trace file".into());
-    }
-    let bytes = if path == "-" {
-        use std::io::Read as _;
-        let mut buf = Vec::new();
-        std::io::stdin()
-            .read_to_end(&mut buf)
-            .map_err(|e| format!("cannot read stdin: {e}"))?;
-        buf
-    } else {
-        std::fs::read(path).map_err(|e| format!("cannot read trace {path:?}: {e}"))?
-    };
-    let mode = if a.switch("lossy") {
-        ReadMode::Lossy
-    } else {
-        ReadMode::Strict
-    };
-    let parsed = read_bytes(&bytes, mode).map_err(|e| format!("{path}: {e} (try --lossy)"))?;
-    if !parsed.skipped.is_empty() {
-        eprintln!(
-            "warning: skipped {} of {} lines (first: {})",
-            parsed.skipped.len(),
-            parsed.lines,
-            parsed.skipped[0]
-        );
-    }
 
     let groups = transient::group_by_time(&transient::extract_samples(&parsed.events));
     let Some((dt, t_end)) = transient::grid_of(&groups) else {
@@ -1098,39 +831,11 @@ pub fn transient(a: &Args) -> Result<(), String> {
         return Ok(());
     };
 
-    // Model resolution mirrors `report`: --model, then --lambda
-    // re-pinning the header spec, then the header verbatim. Unlike
-    // `report` there is no measured-rate fallback to fall back on —
-    // the ODE side *is* the analysis, so an unresolvable model is an
-    // error rather than a dropped column.
-    let header_spec = parsed
-        .header
-        .as_ref()
-        .and_then(|h| h.model.as_deref())
-        .and_then(|m| match ModelSpec::parse(m) {
-            Ok(s) => Some(s),
-            Err(e) => {
-                eprintln!("warning: ignoring unparseable trace-header model: {e}");
-                None
-            }
-        });
-    let spec = match a.raw("model") {
-        Some(model) => {
-            let mut text = model.to_owned();
-            if let Some(l) = a.get::<f64>("lambda")? {
-                text.push_str(&format!(",lambda={l}"));
-            }
-            ModelSpec::parse(&text)?
-        }
-        None => match a.get::<f64>("lambda")? {
-            Some(l) => match header_spec {
-                Some(s) => s.with_lambda(l),
-                None => ModelSpec::simple_ws(l),
-            },
-            None => header_spec
-                .ok_or("trace header carries no model; pass --model <spec> (or --lambda λ)")?,
-        },
-    };
+    // Unlike `report` there is no measured-rate fallback: the ODE side
+    // *is* the analysis, so an unresolvable model is an error rather
+    // than a dropped column.
+    let spec = trace_model_spec(a, &parsed)?
+        .ok_or("trace header carries no model; pass --model <spec> (or --lambda λ)")?;
 
     let model = spec
         .mean_field()
@@ -1303,7 +1008,7 @@ pub fn serve(a: &Args) -> Result<(), String> {
     a.ensure_known(&known)?;
     let addr = a.raw("prom-addr").unwrap_or("127.0.0.1:9464");
     let scrapes: u64 = a.get_or("scrapes", 0)?;
-    let spec = simulate_spec(a)?;
+    let spec = model_spec(a)?;
     let mut cfg = sim_config(a, &spec)?;
     cfg.sojourn_digest = true;
     // With --trace-jobs the registry recorder also maintains the
@@ -1370,26 +1075,12 @@ pub fn serve(a: &Args) -> Result<(), String> {
 fn serve_stealbench(a: &Args) -> Result<(), String> {
     use std::sync::Arc;
 
-    a.ensure_known(&[
-        "workers",
-        "lambda",
-        "horizon",
-        "tau-ms",
-        "seed",
-        "prom-addr",
-        "scrapes",
-    ])?;
+    a.ensure_known(&[STEALBENCH_FLAGS, &["prom-addr", "scrapes"]].concat())?;
     let addr = a.raw("prom-addr").unwrap_or("127.0.0.1:9464");
     let scrapes: u64 = a.get_or("scrapes", 0)?;
-    let cfg = loadsteal_exec::stealbench::StealBenchConfig {
-        workers: a.get_or("workers", 16)?,
-        lambda: a.get_or("lambda", 0.9)?,
-        horizon: a.get_or("horizon", 400.0)?,
-        tau: a.get_or::<f64>("tau-ms", 4.0)? / 1_000.0,
-        seed: a.get_or("seed", 42)?,
-    };
+    let cfg = stealbench_config(a)?;
     let registry = std::sync::Arc::new(Registry::new());
-    let bench = Arc::new(loadsteal_exec::stealbench::StealBench::new_untraced(&cfg)?);
+    let bench = Arc::new(StealBench::new_untraced(&cfg)?);
     let driver = {
         let bench = Arc::clone(&bench);
         std::thread::spawn(move || bench.drive())

@@ -2,10 +2,10 @@
 //! models (Mitzenmacher, SPAA 1998) and the companion simulator.
 //!
 //! ```text
-//! loadsteal solve    --model simple --lambda 0.9
-//! loadsteal solve    --model general --lambda 0.9 --threshold 6 --choices 2 --batch 3
-//! loadsteal tails    --model threshold --lambda 0.9 --threshold 4 --levels 12
-//! loadsteal simulate --n 128 --lambda 0.9 --policy simple --runs 5
+//! loadsteal solve    --model simple-ws --lambda 0.9
+//! loadsteal solve    --model "general,T=4,k=2" --lambda 0.9
+//! loadsteal tails    --model threshold --lambda 0.9 --levels 12
+//! loadsteal simulate --n 128 --model simple-ws --lambda 0.9 --runs 5
 //! loadsteal stability --lambda 0.9
 //! loadsteal drain    --initial 20 --n 128
 //! ```
@@ -147,16 +147,16 @@ USAGE:
   loadsteal models [--lambda <λ>]
       List the model-registry presets with their paper sections,
       fixed-point tail ratios λ/(1+λ−π₂), and canonical spec strings.
-  loadsteal solve --model <MODEL> --lambda <λ> [model flags]
+  loadsteal solve [--model <MODEL>] [--lambda <λ>]
       Fixed point and metrics of a mean-field model.
-  loadsteal tails --model <MODEL> --lambda <λ> [--levels N] [model flags]
+  loadsteal tails [--model <MODEL>] [--lambda <λ>] [--levels N]
       Print the fixed-point occupancy tails s_i.
-  loadsteal simulate (--model <MODEL> | --lambda <λ> [--policy P]) [--n N] [sim flags]
+  loadsteal simulate [--model <MODEL>] [--lambda <λ>] [--n N] [sim flags]
       Discrete-event simulation of the finite system (--n defaults to
       128, the paper's largest simulated size).
   loadsteal stability --lambda <λ> [--t-max T]
       L1-contraction check towards the fixed point (Section 4).
-  loadsteal converge (--model <MODEL> | --lambda <λ>) [--n-min N] [--n-max N] [sim flags]
+  loadsteal converge [--model <MODEL>] [--lambda <λ>] [--n-min N] [--n-max N] [sim flags]
       Finite-size convergence rate: sweep n over a geometric grid
       (default 128..2048), measure the stationary tail error against
       the mean-field fixed point, and fit the log-log slope — Θ(1/n)
@@ -190,7 +190,7 @@ USAGE:
       grid: per-time residuals, sup-norm deviation ‖ŝ−s‖∞, empirical
       relaxation time, and drift events outside the CI envelope. `-`
       reads from stdin, piping from `simulate --sample-tails Δ --trace -`.
-  loadsteal serve --prom-addr <host:port> --n <N> --lambda <λ> [sim flags]
+  loadsteal serve --prom-addr <host:port> [--model <MODEL>] [--lambda <λ>] [--n N] [sim flags]
       Run a simulation while serving its live metrics registry in
       Prometheus text format (`--prom-addr host:0` picks a free port;
       `--scrapes N` exits after N scrapes). With --stealbench the
@@ -218,9 +218,10 @@ USAGE:
       CI-sized; --full re-simulates the paper's Table 1-4 grids.
       Exits nonzero if any check fails.
 
-MODELS (--model, shared by solve/tails/simulate/report):
+MODELS (--model, shared by solve/tails/simulate/converge/serve/report/transient):
   A registry preset name (see `loadsteal models`), optionally followed
-  by comma-separated key=value overrides, or a bare spec:
+  by comma-separated key=value overrides, or a bare spec. Without
+  --model, solve/tails/simulate/converge/serve run simple-ws:
       --model simple-ws
       --model \"threshold-erlang,lambda=0.9\"
       --model \"lambda=0.85,policy=steal,T=4,d=2,k=1,service=erlang:10\"
@@ -230,20 +231,9 @@ MODELS (--model, shared by solve/tails/simulate/report):
   speeds (homogeneous|classes:<frac>:<fast>:<slow>). Last key wins, so
   `--lambda` composes with presets as an override.
 
-  Legacy names (for solve/tails, with per-knob flags):
-  simple | nosteal | threshold [--threshold T] | general [--threshold T
-  --choices d --batch k] | multichoice | multisteal | preemptive
-  [--begin B --threshold T] | repeated [--rate r] | erlang [--stages c]
-  | transfer [--rate r] | rebalance [--rate r [--per-task true]] |
-  heterogeneous [--fast-frac α --fast μf --slow μs]
-
-SIM POLICIES (for simulate without --model):
-  none | simple | threshold | preemptive | repeated | rebalance
-  with flags --threshold, --choices, --batch, --begin, --rate,
-  --transfer-rate, --runs, --horizon, --warmup, --seed, --engine
-  (heap|calendar: the future-event-list implementation; calendar is
-  the default, heap is the differential-testing oracle — both produce
-  bit-identical traces for a given seed)
+SIM FLAGS (simulate, converge and serve):
+  --runs R, --horizon T, --warmup T, --seed S; simulate and serve also
+  take --n N, --internal λint, --heartbeat-every K, --sample-tails Δt
 
 OBSERVABILITY (solve and simulate; --profile and --flight-recorder work
 on every subcommand):

@@ -21,10 +21,11 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use loadsteal_exec::stealbench::{StealBench, StealBenchConfig};
+use loadsteal_exec::stealbench::StealBench;
 use loadsteal_exec::WorkerStats;
 
 use crate::args::Args;
+use crate::commands::{stealbench_config, STEALBENCH_FLAGS};
 
 /// One dashboard row, source-agnostic.
 struct Row {
@@ -50,9 +51,7 @@ struct Totals {
 
 /// `loadsteal top` entry point.
 pub fn top(a: &Args) -> Result<(), String> {
-    a.ensure_known(&[
-        "workers", "lambda", "horizon", "tau-ms", "seed", "interval", "url",
-    ])?;
+    a.ensure_known(&[STEALBENCH_FLAGS, &["interval", "url"]].concat())?;
     let once = a.switch("once");
     let interval = Duration::from_millis(a.get_or("interval", 500u64)?.max(50));
     match a.raw("url") {
@@ -63,13 +62,7 @@ pub fn top(a: &Args) -> Result<(), String> {
 
 /// In-process mode: run the bench untraced, poll its pool directly.
 fn top_in_process(a: &Args, interval: Duration, once: bool) -> Result<(), String> {
-    let cfg = StealBenchConfig {
-        workers: a.get_or("workers", 16)?,
-        lambda: a.get_or("lambda", 0.9)?,
-        horizon: a.get_or("horizon", 400.0)?,
-        tau: a.get_or::<f64>("tau-ms", 4.0)? / 1_000.0,
-        seed: a.get_or("seed", 42)?,
-    };
+    let cfg = stealbench_config(a)?;
     let bench = Arc::new(StealBench::new_untraced(&cfg)?);
     let driver = {
         let bench = Arc::clone(&bench);

@@ -31,7 +31,7 @@ fn no_arguments_fails_with_usage() {
 
 #[test]
 fn solve_simple_reports_table1_estimate() {
-    let (ok, stdout, stderr) = loadsteal(&["solve", "--model", "simple", "--lambda", "0.9"]);
+    let (ok, stdout, stderr) = loadsteal(&["solve", "--model", "simple-ws", "--lambda", "0.9"]);
     assert!(ok, "stderr: {stderr}");
     assert!(stdout.contains("mean time in system"), "{stdout}");
     // λ = 0.9 estimate is 3.541 (paper Table 1).
@@ -40,22 +40,9 @@ fn solve_simple_reports_table1_estimate() {
 
 #[test]
 fn solve_threshold_takes_flags_in_both_forms() {
-    let (ok, a, _) = loadsteal(&[
-        "solve",
-        "--model",
-        "threshold",
-        "--lambda",
-        "0.8",
-        "--threshold",
-        "4",
-    ]);
+    let (ok, a, _) = loadsteal(&["solve", "--model", "threshold,T=4", "--lambda", "0.8"]);
     assert!(ok);
-    let (ok2, b, _) = loadsteal(&[
-        "solve",
-        "--model=threshold",
-        "--lambda=0.8",
-        "--threshold=4",
-    ]);
+    let (ok2, b, _) = loadsteal(&["solve", "--model=threshold,T=4", "--lambda=0.8"]);
     assert!(ok2);
     assert_eq!(a, b);
 }
@@ -63,7 +50,13 @@ fn solve_threshold_takes_flags_in_both_forms() {
 #[test]
 fn tails_prints_monotone_levels() {
     let (ok, stdout, _) = loadsteal(&[
-        "tails", "--model", "simple", "--lambda", "0.7", "--levels", "6",
+        "tails",
+        "--model",
+        "simple-ws",
+        "--lambda",
+        "0.7",
+        "--levels",
+        "6",
     ]);
     assert!(ok);
     let values: Vec<f64> = stdout
@@ -107,7 +100,13 @@ fn unknown_model_is_a_clean_error() {
 #[test]
 fn unknown_flag_is_a_clean_error() {
     let (ok, _, stderr) = loadsteal(&[
-        "solve", "--model", "simple", "--lambda", "0.5", "--tresh", "2",
+        "solve",
+        "--model",
+        "simple-ws",
+        "--lambda",
+        "0.5",
+        "--tresh",
+        "2",
     ]);
     assert!(!ok);
     assert!(stderr.contains("unknown flag"), "{stderr}");
@@ -115,7 +114,7 @@ fn unknown_flag_is_a_clean_error() {
 
 #[test]
 fn invalid_lambda_is_a_clean_error() {
-    let (ok, _, stderr) = loadsteal(&["solve", "--model", "simple", "--lambda", "1.5"]);
+    let (ok, _, stderr) = loadsteal(&["solve", "--model", "simple-ws", "--lambda", "1.5"]);
     assert!(!ok);
     assert!(stderr.contains("arrival rate"), "{stderr}");
 }
@@ -178,10 +177,10 @@ fn solve_accepts_registry_presets_and_spec_overrides() {
     let (ok, stdout, stderr) = loadsteal(&["solve", "--model", "simple-ws"]);
     assert!(ok, "stderr: {stderr}");
     assert!(stdout.contains("3.541"), "{stdout}");
-    // --lambda overrides the preset's λ; matches the legacy spelling.
+    // --lambda overrides the preset's λ, exactly like an in-spec key.
     let (ok, a, _) = loadsteal(&["solve", "--model", "simple-ws", "--lambda", "0.8"]);
     assert!(ok);
-    let (ok2, b, _) = loadsteal(&["solve", "--model", "simple", "--lambda", "0.8"]);
+    let (ok2, b, _) = loadsteal(&["solve", "--model", "simple-ws,lambda=0.8"]);
     assert!(ok2);
     assert_eq!(a, b);
     // Full key=val grammar, including a threshold × Erlang cross-product.
@@ -221,5 +220,33 @@ fn simulate_takes_a_model_spec_and_rejects_legacy_knob_conflicts() {
         "none",
     ]);
     assert!(!ok);
-    assert!(stderr.contains("conflict"), "{stderr}");
+    assert!(stderr.contains("unknown flag --policy"), "{stderr}");
+}
+
+#[test]
+fn solve_and_simulate_record_the_spec_that_models_lists() {
+    // `models` prints each preset's canonical spec. Every command must
+    // resolve the preset name to that same spec, so a second model
+    // grammar cannot drift from the registry unnoticed.
+    let (ok, listing, stderr) = loadsteal(&["models", "--lambda", "0.8"]);
+    assert!(ok, "stderr: {stderr}");
+    let presets: Vec<(&str, &str)> = listing
+        .lines()
+        .skip(1)
+        .filter_map(|l| Some((l.split_whitespace().next()?, l.split_whitespace().last()?)))
+        .collect();
+    assert!(
+        presets.iter().any(|(name, _)| *name == "threshold"),
+        "{listing}"
+    );
+    for (name, spec) in presets {
+        let want = format!("\"model\":\"{spec}\"");
+        for cmd in [&["solve"][..], &["simulate", "--n", "8", "--horizon", "20"]] {
+            let mut args = cmd.to_vec();
+            args.extend_from_slice(&["--model", name, "--lambda", "0.8", "--metrics-json", "-"]);
+            let (ok, doc, stderr) = loadsteal(&args);
+            assert!(ok, "{args:?}: {stderr}");
+            assert!(doc.contains(&want), "{args:?} did not record {spec}: {doc}");
+        }
+    }
 }

@@ -100,33 +100,6 @@ fn converge_exports_slope_and_error_gauges() {
 }
 
 #[test]
-fn converge_respects_the_engine_flag() {
-    // Same sweep under both engines: bit-identical traces imply
-    // identical tail estimates, so the exported error gauges must
-    // match exactly.
-    let mut docs = Vec::new();
-    for engine in ["heap", "calendar"] {
-        let path = std::env::temp_dir().join(format!("loadsteal_converge_{engine}.json"));
-        let path_s = path.to_str().unwrap();
-        let mut args = QUICK_SWEEP.to_vec();
-        args.extend_from_slice(&["--engine", engine, "--metrics-json", path_s]);
-        let (ok, _, stderr) = loadsteal(&args);
-        assert!(ok, "stderr: {stderr}");
-        let doc = std::fs::read_to_string(&path).expect("metrics file written");
-        let _ = std::fs::remove_file(&path);
-        docs.push(doc);
-    }
-    for n in [32, 64, 128] {
-        let key = format!("converge.err_n{n}");
-        assert_eq!(
-            gauge(&docs[0], &key),
-            gauge(&docs[1], &key),
-            "engines diverged on {key}"
-        );
-    }
-}
-
-#[test]
 fn converge_rejects_a_degenerate_grid() {
     let (ok, _, stderr) = loadsteal(&[
         "converge",

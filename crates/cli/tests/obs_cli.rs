@@ -244,8 +244,8 @@ const QUICK_SIM: &[&str] = &[
     "16",
     "--lambda",
     "0.7",
-    "--policy",
-    "simple",
+    "--model",
+    "simple-ws",
     "--runs",
     "2",
     "--horizon",
@@ -578,7 +578,7 @@ fn solve_also_emits_a_run_document() {
     let out = loadsteal(&[
         "solve",
         "--model",
-        "simple",
+        "simple-ws",
         "--lambda",
         "0.9",
         "--metrics-json",

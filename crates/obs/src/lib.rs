@@ -26,9 +26,9 @@
 //!   metrics report into a self-describing artifact.
 //!
 //! Supporting cast: [`json`] is the hand-rolled JSON writer/parser pair
-//! everything serializes through (no serde), [`sketch`] provides
-//! streaming quantile estimators (P² and a mergeable digest), [`prom`]
-//! renders any [`registry::MetricsReport`] in Prometheus text format,
+//! everything serializes through (no serde), [`sketch`] provides a
+//! mergeable streaming quantile digest, [`prom`] renders any
+//! [`registry::MetricsReport`] in Prometheus text format,
 //! [`timer`] provides scoped wall-clock timers feeding histograms,
 //! [`span`] is the hierarchical span profiler (Chrome-trace and
 //! folded-stack exports), [`flight`] is the crash-safe flight recorder
@@ -61,6 +61,6 @@ pub use recorder::{
 };
 pub use registry::{Counter, Gauge, Histogram, MetricsReport, Registry, ShardedCounter, Sketch};
 pub use shard::{ShardSink, ShardedRecorder};
-pub use sketch::{Digest, P2Quantile};
+pub use sketch::Digest;
 pub use span::{ProfileReport, SpanAggregate, SpanGuard, SpanInstance, SpanRecord, ThreadProfile};
 pub use timer::{ScopedTimer, Stopwatch};

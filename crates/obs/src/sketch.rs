@@ -1,19 +1,13 @@
-//! Streaming quantile sketches.
+//! Streaming quantile sketch.
 //!
-//! Two complementary estimators for "what is the p99 sojourn time?"
-//! without storing every sample:
-//!
-//! * [`P2Quantile`] — the classic P² (piecewise-parabolic) estimator of
-//!   Jain & Chlamtac: five markers, O(1) memory, one quantile per
-//!   instance. Best when a single target quantile is tracked online.
-//! * [`Digest`] — a fixed-resolution log-linear histogram over
-//!   non-negative floats: 32 linear sub-buckets per power-of-two octave
-//!   (≤ ~3% relative error), any quantile after the fact, and —
-//!   crucially — *mergeable*: two digests with the identical fixed
-//!   layout combine by elementwise addition, so per-replication digests
-//!   recorded on worker threads fold into one distribution.
-//!
-//! Both are deliberately simple; neither allocates after construction.
+//! [`Digest`] answers "what is the p99 sojourn time?" without storing
+//! every sample: a fixed-resolution log-linear histogram over
+//! non-negative floats with 32 linear sub-buckets per power-of-two
+//! octave (≤ ~3% relative error) and any quantile after the fact. It is
+//! *mergeable*: two digests with the identical fixed layout combine by
+//! elementwise addition, so per-replication digests recorded on worker
+//! threads fold into one distribution. It never allocates after
+//! construction.
 
 /// Sub-buckets per octave (top 5 mantissa bits → 32 linear slots).
 const SUBS: usize = 32;
@@ -183,133 +177,6 @@ impl Digest {
     }
 }
 
-/// State of the P² (piecewise-parabolic) single-quantile estimator.
-///
-/// Jain & Chlamtac, "The P² algorithm for dynamic calculation of
-/// quantiles and histograms without storing observations", CACM 1985.
-#[derive(Debug, Clone)]
-pub struct P2Quantile {
-    q: f64,
-    /// Marker heights (estimates of the 0, q/2, q, (1+q)/2, 1 quantiles).
-    heights: [f64; 5],
-    /// Actual marker positions (1-based ranks).
-    pos: [f64; 5],
-    /// Desired marker positions.
-    want: [f64; 5],
-    /// Increment of each desired position per observation.
-    dwant: [f64; 5],
-    /// Observations seen (first five are buffered in `heights`).
-    n: u64,
-}
-
-impl P2Quantile {
-    /// Track the `q`-quantile, `0 < q < 1`.
-    pub fn new(q: f64) -> Self {
-        let q = q.clamp(1e-6, 1.0 - 1e-6);
-        Self {
-            q,
-            heights: [0.0; 5],
-            pos: [1.0, 2.0, 3.0, 4.0, 5.0],
-            want: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            dwant: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            n: 0,
-        }
-    }
-
-    /// The tracked quantile `q`.
-    pub fn q(&self) -> f64 {
-        self.q
-    }
-
-    /// Observations seen.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Record one observation. Non-finite values are ignored.
-    pub fn record(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        if self.n < 5 {
-            self.heights[self.n as usize] = x;
-            self.n += 1;
-            if self.n == 5 {
-                self.heights.sort_by(f64::total_cmp);
-            }
-            return;
-        }
-        self.n += 1;
-        // Find the cell k containing x and update extreme markers.
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            let mut k = 0;
-            while k < 3 && x >= self.heights[k + 1] {
-                k += 1;
-            }
-            k
-        };
-        for p in self.pos.iter_mut().skip(k + 1) {
-            *p += 1.0;
-        }
-        for (w, d) in self.want.iter_mut().zip(&self.dwant) {
-            *w += d;
-        }
-        // Adjust interior markers towards their desired positions.
-        for i in 1..4 {
-            let d = self.want[i] - self.pos[i];
-            let step_up = self.pos[i + 1] - self.pos[i] > 1.0;
-            let step_dn = self.pos[i - 1] - self.pos[i] < -1.0;
-            if (d >= 1.0 && step_up) || (d <= -1.0 && step_dn) {
-                let s = d.signum();
-                let candidate = self.parabolic(i, s);
-                self.heights[i] =
-                    if self.heights[i - 1] < candidate && candidate < self.heights[i + 1] {
-                        candidate
-                    } else {
-                        self.linear(i, s)
-                    };
-                self.pos[i] += s;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, s: f64) -> f64 {
-        let (q0, q1, q2) = (self.heights[i - 1], self.heights[i], self.heights[i + 1]);
-        let (n0, n1, n2) = (self.pos[i - 1], self.pos[i], self.pos[i + 1]);
-        q1 + s / (n2 - n0)
-            * ((n1 - n0 + s) * (q2 - q1) / (n2 - n1) + (n2 - n1 - s) * (q1 - q0) / (n1 - n0))
-    }
-
-    fn linear(&self, i: usize, s: f64) -> f64 {
-        let j = (i as f64 + s) as usize;
-        self.heights[i] + s * (self.heights[j] - self.heights[i]) / (self.pos[j] - self.pos[i])
-    }
-
-    /// Current estimate of the tracked quantile (`None` before any
-    /// observation).
-    pub fn value(&self) -> Option<f64> {
-        match self.n {
-            0 => None,
-            n if n < 5 => {
-                // Exact small-sample quantile from the buffer.
-                let mut buf = self.heights[..n as usize].to_vec();
-                buf.sort_by(f64::total_cmp);
-                let rank = self.q * (n - 1) as f64;
-                let lo = rank.floor() as usize;
-                let hi = rank.ceil() as usize;
-                Some(buf[lo] + (buf[hi] - buf[lo]) * (rank - lo as f64))
-            }
-            _ => Some(self.heights[2]),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,60 +293,5 @@ mod tests {
             let (lo, hi) = bucket_bounds(i);
             assert!(lo <= v && v < hi, "v={v} i={i} bounds=({lo},{hi})");
         }
-    }
-
-    #[test]
-    fn p2_before_five_samples_is_exact() {
-        let mut p = P2Quantile::new(0.5);
-        assert_eq!(p.value(), None);
-        p.record(10.0);
-        assert_eq!(p.value(), Some(10.0));
-        p.record(20.0);
-        assert_eq!(p.value(), Some(15.0));
-        p.record(30.0);
-        assert_eq!(p.value(), Some(20.0));
-    }
-
-    #[test]
-    fn p2_converges_on_uniform_and_exponential() {
-        for (q, gen, exact) in [
-            (0.5, false, 0.5),
-            (0.95, false, 0.95),
-            (0.5, true, std::f64::consts::LN_2),
-            (0.99, true, -(0.01f64).ln()),
-        ] {
-            let mut p = P2Quantile::new(q);
-            for u in stream(13, 50_000) {
-                p.record(if gen { -(1.0 - u).ln() } else { u });
-            }
-            let est = p.value().unwrap();
-            assert!(
-                (est - exact).abs() / exact < 0.05,
-                "q={q} exp={gen}: est {est} vs exact {exact}"
-            );
-        }
-    }
-
-    #[test]
-    fn p2_ignores_non_finite() {
-        let mut p = P2Quantile::new(0.5);
-        for x in [1.0, f64::NAN, 2.0, f64::INFINITY, 3.0] {
-            p.record(x);
-        }
-        assert_eq!(p.count(), 3);
-        assert_eq!(p.value(), Some(2.0));
-    }
-
-    #[test]
-    fn p2_and_digest_agree() {
-        let xs: Vec<f64> = stream(29, 30_000).iter().map(|u| u * u * 10.0).collect();
-        let mut p = P2Quantile::new(0.9);
-        let mut d = Digest::new();
-        for &x in &xs {
-            p.record(x);
-            d.record(x);
-        }
-        let (pv, dv) = (p.value().unwrap(), d.quantile(0.9).unwrap());
-        assert!((pv - dv).abs() / dv < 0.05, "P² {pv} vs digest {dv}");
     }
 }

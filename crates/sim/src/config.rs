@@ -112,26 +112,6 @@ pub enum EngineKind {
     Calendar,
 }
 
-impl EngineKind {
-    /// Parse a CLI spelling (`heap` or `calendar`).
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "heap" => Ok(Self::Heap),
-            "calendar" => Ok(Self::Calendar),
-            other => Err(format!("unknown engine '{other}' (expected heap|calendar)")),
-        }
-    }
-}
-
-impl std::fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Heap => write!(f, "heap"),
-            Self::Calendar => write!(f, "calendar"),
-        }
-    }
-}
-
 /// Time for a stolen task to move from victim to thief (Section 3.2).
 /// While a transfer is outstanding the thief does not steal again.
 #[derive(Debug, Clone, PartialEq)]
@@ -789,16 +769,11 @@ mod tests {
     }
 
     #[test]
-    fn engine_kind_parses_and_defaults_to_calendar() {
-        assert_eq!(EngineKind::parse("heap").unwrap(), EngineKind::Heap);
-        assert_eq!(EngineKind::parse("calendar").unwrap(), EngineKind::Calendar);
-        assert!(EngineKind::parse("wheel").is_err());
+    fn engine_kind_defaults_to_calendar() {
         assert_eq!(
             SimConfig::paper_default(8, 0.5).engine,
             EngineKind::Calendar
         );
-        assert_eq!(EngineKind::Heap.to_string(), "heap");
-        assert_eq!(EngineKind::Calendar.to_string(), "calendar");
     }
 
     #[test]

@@ -1633,8 +1633,8 @@ mod tests {
             cfg.engine = engine;
             let a = run(&cfg, 37);
             let b = run(&cfg, 37);
-            assert_eq!(a.sojourn.mean(), b.sojourn.mean(), "{engine} replay");
-            assert_eq!(a.events_processed, b.events_processed, "{engine} replay");
+            assert_eq!(a.sojourn.mean(), b.sojourn.mean(), "{engine:?} replay");
+            assert_eq!(a.events_processed, b.events_processed, "{engine:?} replay");
         }
     }
 
