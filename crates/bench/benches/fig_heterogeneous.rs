@@ -7,7 +7,7 @@
 
 use loadsteal_bench::{print_header, print_row, Protocol};
 use loadsteal_core::fixed_point::{solve, FixedPointOptions};
-use loadsteal_core::models::Heterogeneous;
+use loadsteal_core::models::{Heterogeneous, MeanFieldModel};
 use loadsteal_sim::{SimConfig, SpeedProfile, StealPolicy};
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
     for (mf, ms) in pairs {
         let m = Heterogeneous::new(lambda, 0.5, mf, ms, 2).expect("valid");
         let fp = solve(&m, &opts).expect("fp");
-        let (fast, slow) = m.class_tails(&fp.state);
+        let (fast, slow) = m.with_truncation(fp.truncation).class_tails(&fp.state);
         let mut cfg = SimConfig::paper_default(128, lambda);
         cfg.policy = StealPolicy::simple_ws();
         cfg.speeds = SpeedProfile::Classes(vec![(0.5, mf), (0.5, ms)]);

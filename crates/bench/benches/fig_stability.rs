@@ -30,9 +30,9 @@ fn main() {
     for lambda in [0.5, 0.7, 0.809, 0.9, 0.95, 0.99] {
         // Simple WS.
         let m = SimpleWs::new(lambda).unwrap();
-        let fp = solve(&m, &opts).unwrap();
+        let fixed = m.embed_state(&solve(&m, &opts).unwrap().state);
         for (name, start) in starts(&m) {
-            let rep = check_l1_contraction(&m, &start, &fp.state, 1e-6, 100_000.0).unwrap();
+            let rep = check_l1_contraction(&m, &start, &fixed, 1e-6, 100_000.0).unwrap();
             print_line(
                 "simple",
                 lambda,
@@ -43,9 +43,9 @@ fn main() {
         }
         // Threshold T = 4 (Theorem 2).
         let m = ThresholdWs::new(lambda, 4).unwrap();
-        let fp = solve(&m, &opts).unwrap();
+        let fixed = m.embed_state(&solve(&m, &opts).unwrap().state);
         for (name, start) in starts(&m) {
-            let rep = check_l1_contraction(&m, &start, &fp.state, 1e-6, 100_000.0).unwrap();
+            let rep = check_l1_contraction(&m, &start, &fixed, 1e-6, 100_000.0).unwrap();
             print_line("T=4", lambda, theorem_condition_holds(lambda), name, &rep);
         }
     }

@@ -523,6 +523,9 @@ pub fn stability(a: &Args) -> Result<(), String> {
     let t_max: f64 = a.get_or("t-max", 50_000.0)?;
     let m = SimpleWs::new(lambda)?;
     let fp = solve_fp(&m, &FixedPointOptions::default()).map_err(|e| e.to_string())?;
+    // The trajectories start from loaded states, so they run at the
+    // model's own λⁱ-sized truncation; the solver sized the fixed point's.
+    let fixed = m.embed_state(&fp.state);
     println!(
         "Theorem 1 hypothesis π₂ < 1/2: {} (π₂ = {:.4})",
         if theorem_condition_holds(lambda) {
@@ -544,7 +547,7 @@ pub fn stability(a: &Args) -> Result<(), String> {
         ),
     ] {
         let rep =
-            check_l1_contraction(&m, &start, &fp.state, 1e-6, t_max).map_err(|e| e.to_string())?;
+            check_l1_contraction(&m, &start, &fixed, 1e-6, t_max).map_err(|e| e.to_string())?;
         println!(
             "start {name:>16}: D₀ = {:.4}, max increase {:.2e}, converged at {}, decay γ ≈ {}",
             rep.initial_distance,

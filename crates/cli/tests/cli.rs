@@ -48,6 +48,21 @@ fn solve_threshold_takes_flags_in_both_forms() {
 }
 
 #[test]
+fn stability_converges_from_every_start() {
+    // The trajectories run at the model's own truncation while the fixed
+    // point comes at the solver's, so this also checks the re-embedding.
+    for lambda in ["0.4", "0.9"] {
+        let (ok, stdout, stderr) = loadsteal(&["stability", "--lambda", lambda]);
+        assert!(ok, "λ = {lambda}: {stderr}");
+        let starts: Vec<&str> = stdout.lines().filter(|l| l.starts_with("start")).collect();
+        assert_eq!(starts.len(), 3, "λ = {lambda}: {stdout}");
+        for line in starts {
+            assert!(line.contains("converged at t ="), "λ = {lambda}: {line}");
+        }
+    }
+}
+
+#[test]
 fn tails_prints_monotone_levels() {
     let (ok, stdout, _) = loadsteal(&[
         "tails",

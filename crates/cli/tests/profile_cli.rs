@@ -117,6 +117,10 @@ fn profile_flag_with_folded_extension_writes_folded_stacks() {
             .any(|l| l.contains("ode.integrate;ode.step_attempt")),
         "solver hot path appears as a nested frame: {lines:?}"
     );
+    assert!(
+        lines.iter().any(|l| l.contains(";ode.newton")),
+        "the Newton polish has a frame of its own: {lines:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

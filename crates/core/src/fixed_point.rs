@@ -8,17 +8,63 @@
 //! algebraic system `F(π) = 0` to (near) machine precision. The polish
 //! factors the Jacobian as a band plus a dense border, so banded systems
 //! polish at any truncation; only a Jacobian whose dense part exceeds
-//! [`FixedPointOptions::newton_max_dim`] is left to integration. The
-//! truncation is grown and the solve repeated whenever mass reaches the
-//! boundary.
+//! [`FixedPointOptions::newton_max_dim`] is left to integration.
+//!
+//! # Sizing the truncation
+//!
+//! The solver chooses the truncation itself, from the tail law the
+//! paper proves: stealing makes queue tails fall geometrically, usually
+//! far faster than the `λ^i` a model's constructor sizes for.
+//!
+//! - **Pilot.** The first pass solves at 32 levels, or at the model's
+//!   structural floor (`T + 8`, `4c` stages, …) when that is higher.
+//! - **Size.** Each pass measures the ratio `ρ̂` of its folded task
+//!   tails where they are resolved: above the residual's noise floor
+//!   and in the half of the levels away from the boundary, whose
+//!   reflection bends the last levels of a truncated tail. Extrapolated
+//!   from the deepest
+//!   such level `i`, the mass beyond level `L` is
+//!   `Σ_{j>L} s_j ≈ s_i ρ̂^{L−i} ρ̂/(1 − ρ̂)`. The pass needs the smallest
+//!   `L` that puts this below 1e−14, converted to stage levels for the
+//!   Erlang-stage models.
+//! - **Grow.** When the need exceeds the truncation, the next pass jumps
+//!   straight to the need plus 16 levels of margin, so that it fits
+//!   even if its better-resolved tail asks for a little more. Where no
+//!   ratio resolves, the truncation grows by half instead.
+//! - **Warm start.** A grown pass starts from the previous fixed point,
+//!   re-embedded at the new truncation by
+//!   [`MeanFieldModel::embed_state`]. It tries the Newton polish before
+//!   it integrates, so growing costs one polish, not a fresh
+//!   integration from empty. The polish aims at least as deep as the
+//!   residual of the pass it grew from.
+//! - **Stop.** The solve returns once the need fits (or no ratio
+//!   resolves) and the boundary mass is below
+//!   [`FixedPointOptions::boundary_tol`].
+//!
+//! So the contract is on neglected mass, not on the last level: the
+//! tail mass a [`FixedPoint`] leaves out is estimated below 1e−14. Its
+//! [`FixedPoint::state`] belongs to `model.with_truncation(fp.truncation)`,
+//! which can be smaller or larger than the model the solve was given;
+//! re-embed it with [`MeanFieldModel::embed_state`] to read it through
+//! another truncation.
 
+use loadsteal_obs::span::span;
 use loadsteal_obs::{NullRecorder, Recorder};
+use loadsteal_ode::norms::max_abs;
 use loadsteal_ode::solver::SteadyStateOptions;
 use loadsteal_ode::{
     newton_solve, AdaptiveOptions, DormandPrince45, IntegrationError, NewtonError, NewtonOptions,
 };
 
 use crate::models::MeanFieldModel;
+use crate::tail::{truncation_for_ratio, TailVector};
+
+/// Truncation of the pilot pass, before any tail has been measured.
+const PILOT_LEVELS: usize = 32;
+/// Tail mass a sized truncation may leave out.
+const NEGLECTED_MASS: f64 = 1e-14;
+/// Task levels a grown pass adds past the measured need.
+const MARGIN_LEVELS: usize = 16;
 
 /// Options for [`solve`].
 #[derive(Debug, Clone, Copy)]
@@ -36,9 +82,9 @@ pub struct FixedPointOptions {
     /// no band structure (pairwise rebalancing). The state dimension is
     /// not capped. 0 disables the polish.
     pub newton_max_dim: usize,
-    /// Grow the truncation when the boundary mass exceeds this.
+    /// Grow the truncation while the boundary mass exceeds this.
     pub boundary_tol: f64,
-    /// Hard cap on truncation growth.
+    /// Hard cap on the truncation the solver may choose.
     pub max_truncation: usize,
 }
 
@@ -62,7 +108,10 @@ impl Default for FixedPointOptions {
 /// A computed fixed point with its derived performance metrics.
 #[derive(Debug, Clone)]
 pub struct FixedPoint {
-    /// The raw model state at the fixed point.
+    /// The raw model state at the fixed point, laid out for
+    /// `model.with_truncation(self.truncation)`. The solver sizes its own
+    /// truncation, so this can differ from the model's; read the state
+    /// through another truncation with [`MeanFieldModel::embed_state`].
     pub state: Vec<f64>,
     /// `‖F(π)‖∞` at the returned state.
     pub residual: f64,
@@ -74,18 +123,24 @@ pub struct FixedPoint {
     pub mean_time_in_system: f64,
     /// Folded task-count tails `s_0, s_1, …`.
     pub task_tails: Vec<f64>,
-    /// Truncation level used.
+    /// Truncation level the solver settled on (see the module docs).
     pub truncation: usize,
 }
 
 impl FixedPoint {
     /// Estimated geometric decay ratio of the task tails, measured at
     /// the deepest depth that stays well above the solver's residual
-    /// noise floor.
+    /// noise floor and clear of the truncation boundary
+    /// ([`TailVector::tail_ratio`]).
     pub fn tail_ratio(&self) -> Option<f64> {
-        let floor = (self.residual * 1e4).max(1e-9);
-        crate::tail::TailVector::from_slice(&self.task_tails[1..]).tail_ratio(floor)
+        TailVector::from_slice(&self.task_tails[1..]).tail_ratio(resolution_floor(self.residual))
     }
+}
+
+/// Tail values at or below this are solver noise for a state with this
+/// residual.
+fn resolution_floor(residual: f64) -> f64 {
+    (residual * 1e4).max(1e-9)
 }
 
 /// Why [`solve`] failed.
@@ -128,8 +183,14 @@ impl From<IntegrationError> for SolveError {
     }
 }
 
-/// Compute the fixed point of `model` (integrate from empty, grow the
-/// truncation as needed, Newton-polish when feasible).
+/// Compute the fixed point of `model`: a pilot pass at a small
+/// truncation, then passes at the truncation its measured tail law asks
+/// for, each warm-started from the last and Newton-polished when
+/// feasible (see the [module docs](self)).
+///
+/// The truncation of `model` itself is not used, only its structural
+/// floor; the returned [`FixedPoint::state`] belongs to
+/// `model.with_truncation(fp.truncation)`.
 pub fn solve<M: MeanFieldModel>(
     model: &M,
     opts: &FixedPointOptions,
@@ -145,36 +206,66 @@ pub fn solve_traced<M: MeanFieldModel>(
     opts: &FixedPointOptions,
     rec: &mut dyn Recorder,
 ) -> Result<FixedPoint, SolveError> {
-    let mut m = model.clone();
+    let mut m = model.with_truncation(PILOT_LEVELS.min(opts.max_truncation));
+    let mut warm = None;
     loop {
-        let (state, residual, polished) = solve_at_truncation(&m, opts, rec)?;
-        let boundary = m.boundary_mass(&state);
-        if boundary > opts.boundary_tol {
-            let next = (m.truncation() * 3 / 2).max(m.truncation() + 16);
-            if next > opts.max_truncation {
-                return Err(SolveError::TruncationExhausted {
-                    levels: m.truncation(),
-                });
-            }
-            m = m.with_truncation(next);
-            continue;
-        }
+        let (state, residual, polished) = {
+            let _span = span("core.solve_pass");
+            solve_at_truncation(&m, warm.take(), opts, rec)?
+        };
+        let levels = m.truncation();
         let task_tails = m.task_tails(&state);
-        let mean_tasks = m.mean_tasks(&state);
-        return Ok(FixedPoint {
-            residual,
-            polished,
-            mean_tasks,
-            mean_time_in_system: m.mean_time_in_system(&state),
-            task_tails,
-            truncation: m.truncation(),
-            state,
-        });
+        // Erlang-stage models carry several levels per task.
+        let per_task = levels as f64 / (task_tails.len() - 1) as f64;
+        let to_levels = |tasks: usize| (tasks as f64 * per_task).ceil() as usize;
+        let need = needed_task_levels(&task_tails, residual, opts.max_truncation);
+        if need.is_none_or(|n| to_levels(n) <= levels)
+            && m.boundary_mass(&state) <= opts.boundary_tol
+        {
+            return Ok(FixedPoint {
+                residual,
+                polished,
+                mean_tasks: m.mean_tasks(&state),
+                mean_time_in_system: m.mean_time_in_system(&state),
+                task_tails,
+                truncation: levels,
+                state,
+            });
+        }
+        // Jump past the need by the margin, so the next pass fits even
+        // if its better-resolved tail asks for a little more. Without a
+        // larger need to jump to, grow by half.
+        let next = need
+            .map(|n| to_levels(n.saturating_add(MARGIN_LEVELS)))
+            .filter(|&l| l > levels)
+            .unwrap_or((levels * 3 / 2).max(levels + 16))
+            .min(opts.max_truncation);
+        if next <= levels {
+            return Err(SolveError::TruncationExhausted { levels });
+        }
+        let grown = m.with_truncation(next);
+        warm = Some((grown.embed_state(&state), residual));
+        m = grown;
     }
 }
 
-/// One pass at the model's current truncation: integrate in growing
-/// time chunks, attempting a Newton polish after each chunk.
+/// The task levels that the folded task tails of one pass need: the
+/// fewest whose neglected mass, extrapolated geometrically from the
+/// deepest resolved level, is below [`NEGLECTED_MASS`]. `None` when no
+/// tail ratio resolves.
+fn needed_task_levels(tails: &[f64], residual: f64, max: usize) -> Option<usize> {
+    let (i, ratio) =
+        TailVector::from_slice(&tails[1..]).resolved_ratio(resolution_floor(residual))?;
+    // Σ_{j>L} s_j ≈ s_i ρ^{L−i} ρ/(1 − ρ) < ε  ⇔  ρ^{L−i} < ε(1 − ρ)/(ρ s_i).
+    let eps = NEGLECTED_MASS * (1.0 - ratio) / (ratio * tails[i]);
+    Some(i.saturating_add(truncation_for_ratio(ratio, eps, 0, max)))
+}
+
+/// One pass at the model's current truncation. A cold pass integrates
+/// from empty in growing time chunks, attempting a Newton polish after
+/// each chunk. A warm pass starts from `warm`, a state and the residual
+/// of the pass it grew from: it first tries the polish there and, if
+/// that fails, integrates from there the same way.
 ///
 /// Some systems (notably load-proportional rebalancing) relax towards
 /// their fixed point very slowly under pure integration; Newton's basin
@@ -183,17 +274,30 @@ pub fn solve_traced<M: MeanFieldModel>(
 /// giving up the integration fallback.
 fn solve_at_truncation<M: MeanFieldModel>(
     m: &M,
+    warm: Option<(Vec<f64>, f64)>,
     opts: &FixedPointOptions,
     rec: &mut dyn Recorder,
 ) -> Result<(Vec<f64>, f64, bool), SolveError> {
-    let mut y = m.empty_state();
+    let mut polish = opts.newton_max_dim > 0;
+    let mut y = match warm {
+        Some((y, depth)) => {
+            if polish {
+                match try_newton(m, &y, residual_at(m, &y), depth, opts) {
+                    Polish::Converged(state, r) => return Ok((state, r, true)),
+                    Polish::TooDense => polish = false,
+                    Polish::Failed => {}
+                }
+            }
+            y
+        }
+        None => m.empty_state(),
+    };
     let mut dp = DormandPrince45::new(opts.adaptive);
     let mut t = 0.0;
     // Short first chunk: Newton's basin is usually reached within a few
     // dozen time units, far before the trajectory itself settles.
     let mut chunk = 50.0_f64.min(opts.steady.t_max);
     let mut residual;
-    let mut polish = opts.newton_max_dim > 0;
     loop {
         let stage = loadsteal_ode::solver::SteadyStateOptions {
             t_max: (t + chunk).min(opts.steady.t_max) - t,
@@ -204,7 +308,7 @@ fn solve_at_truncation<M: MeanFieldModel>(
         residual = report.residual;
 
         if polish {
-            match try_newton(m, &y, residual, opts) {
+            match try_newton(m, &y, residual, f64::INFINITY, opts) {
                 Polish::Converged(state, r) => return Ok((state, r, true)),
                 // The dense part is a property of the model, not of the
                 // starting point: later chunks would not change it.
@@ -225,6 +329,13 @@ fn solve_at_truncation<M: MeanFieldModel>(
     }
 }
 
+/// `‖F(y)‖∞`.
+fn residual_at<M: MeanFieldModel>(m: &M, y: &[f64]) -> f64 {
+    let mut f = vec![0.0; y.len()];
+    m.deriv(0.0, y, &mut f);
+    max_abs(&f)
+}
+
 /// Outcome of one Newton polish attempt.
 enum Polish {
     /// Converged to the given state and residual.
@@ -235,42 +346,52 @@ enum Polish {
     Failed,
 }
 
-/// Attempt a Newton polish from `y`; it succeeds when the iteration
-/// converges to a better residual than `residual`.
+/// Attempt a Newton polish from `y`, whose residual is `residual`; it
+/// succeeds when the iteration converges to a better residual.
+///
+/// The polish aims below both the Newton tolerance and `depth`. A warm
+/// start passes the residual of the pass it grew from: the warm state
+/// can already be inside the tolerance, and stopping there would leave
+/// it shallower than the polish it came from. A polish that stalls
+/// short of `depth` but inside the tolerance has reached this
+/// truncation's rounding floor and counts as converged.
 fn try_newton<M: MeanFieldModel>(
     m: &M,
     y: &[f64],
     residual: f64,
+    depth: f64,
     opts: &FixedPointOptions,
 ) -> Polish {
     let mut trial = y.to_vec();
     // Interleaved attempts are speculative: bound the cost of a failed
     // attempt.
     let newton_opts = loadsteal_ode::NewtonOptions {
+        tol: opts.newton.tol.min(depth),
         max_iters: opts.newton.max_iters.min(25),
         max_dense_dim: opts.newton_max_dim,
         ..opts.newton
     };
-    match newton_solve(|x, out| m.deriv(0.0, x, out), &mut trial, &newton_opts) {
-        Ok(_) => {
-            m.project(&mut trial);
-            // Projection can nudge the residual; re-evaluate honestly.
-            let mut f = vec![0.0; trial.len()];
-            m.deriv(0.0, &trial, &mut f);
-            let r = f.iter().fold(0.0_f64, |a, &v| a.max(v.abs()));
-            // Accept only genuine convergence (not a stalled local
-            // improvement far from the fixed point).
-            if r < opts.newton.tol * 100.0 && r <= residual {
-                return Polish::Converged(trial, r);
-            }
-            Polish::Failed
+    let converged = match newton_solve(|x, out| m.deriv(0.0, x, out), &mut trial, &newton_opts) {
+        Ok(_) => true,
+        Err(NewtonError::TooDense { .. }) => return Polish::TooDense,
+        // Newton keeps only steps that lower the residual, so `trial`
+        // holds the best iterate.
+        Err(NewtonError::Stalled { residual: r } | NewtonError::MaxIterations { residual: r }) => {
+            r < opts.newton.tol
         }
-        Err(NewtonError::TooDense { .. }) => Polish::TooDense,
-        Err(
-            NewtonError::SingularJacobian { .. }
-            | NewtonError::Stalled { .. }
-            | NewtonError::MaxIterations { .. }
-            | NewtonError::NonFinite,
-        ) => Polish::Failed,
+        Err(NewtonError::SingularJacobian { .. } | NewtonError::NonFinite) => false,
+    };
+    if !converged {
+        return Polish::Failed;
+    }
+    m.project(&mut trial);
+    // Projection can nudge the residual; re-evaluate honestly.
+    let r = residual_at(m, &trial);
+    // Accept only genuine convergence (not a stalled local improvement
+    // far from the fixed point).
+    if r < opts.newton.tol * 100.0 && r <= residual {
+        Polish::Converged(trial, r)
+    } else {
+        Polish::Failed
     }
 }

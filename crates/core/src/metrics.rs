@@ -56,7 +56,7 @@ mod tests {
     fn summary_is_consistent_with_fixed_point() {
         let m = SimpleWs::new(0.8).unwrap();
         let fp = solve(&m, &FixedPointOptions::default()).unwrap();
-        let s = summarize(&m, &fp.state);
+        let s = summarize(&m.with_truncation(fp.truncation), &fp.state);
         assert!((s.mean_tasks - fp.mean_tasks).abs() < 1e-12);
         assert!((s.mean_time_in_system - fp.mean_time_in_system).abs() < 1e-12);
         assert!((s.busy_fraction - 0.8).abs() < 1e-8);

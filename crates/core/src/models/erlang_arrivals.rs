@@ -186,6 +186,10 @@ impl MeanFieldModel for ErlangArrivals {
     fn boundary_mass(&self, y: &[f64]) -> f64 {
         self.agg(y, self.levels)
     }
+
+    fn embed_state(&self, y: &[f64]) -> Vec<f64> {
+        super::embed_blocks(y, 0, self.phases, self.levels)
+    }
 }
 
 #[cfg(test)]

@@ -227,6 +227,10 @@ impl MeanFieldModel for Heterogeneous {
     fn boundary_mass(&self, y: &[f64]) -> f64 {
         self.f(y, self.levels).max(self.g(y, self.levels))
     }
+
+    fn embed_state(&self, y: &[f64]) -> Vec<f64> {
+        super::embed_blocks(y, 0, 2, self.levels)
+    }
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@
 
 use loadsteal_ode::OdeSystem;
 
-use super::{default_truncation, MeanFieldModel};
+use super::MeanFieldModel;
 
 /// Mean-field model of threshold stealing with two-branch
 /// hyperexponential service.
@@ -66,7 +66,6 @@ impl HyperService {
         }
         let levels =
             crate::tail::truncation_for_ratio(rho.max(0.05), 1e-14, 32, 8_192).max(threshold + 8);
-        let _ = default_truncation; // λ-based default replaced by ρ-based
         Ok(Self {
             lambda,
             p,
@@ -224,6 +223,10 @@ impl MeanFieldModel for HyperService {
     fn boundary_mass(&self, y: &[f64]) -> f64 {
         self.agg(y, self.levels)
     }
+
+    fn embed_state(&self, y: &[f64]) -> Vec<f64> {
+        super::embed_blocks(y, 0, 2, self.levels)
+    }
 }
 
 #[cfg(test)]
@@ -271,6 +274,7 @@ mod tests {
         // Completions = μ₁ h¹₁ + μ₂ h²₁ = λ at the fixed point.
         let m = HyperService::with_scv(0.8, 4.0, 2).unwrap();
         let fp = solve(&m, &opts()).unwrap();
+        let m = m.with_truncation(fp.truncation);
         let (p, mu1, mu2) = m.branches();
         let _ = p;
         let l = m.truncation();
@@ -302,6 +306,7 @@ mod tests {
         // μ-weighted, so check at the fixed point where it equals λ.
         let m = HyperService::with_scv(0.7, 3.0, 2).unwrap();
         let fp = solve(&m, &opts()).unwrap();
+        let m = m.with_truncation(fp.truncation);
         let mut dy = vec![0.0; fp.state.len()];
         m.deriv(0.0, &fp.state, &mut dy);
         let dl: f64 = dy.iter().sum();

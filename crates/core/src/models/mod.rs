@@ -94,11 +94,41 @@ pub trait MeanFieldModel: OdeSystem + Clone {
     /// truncation must grow before trusting the solution.
     fn boundary_mass(&self, y: &[f64]) -> f64;
 
+    /// `y`, a state of this model at another truncation (such as a
+    /// [`crate::FixedPoint::state`]), re-embedded at this model's
+    /// truncation: levels `y` does not carry start empty, and levels
+    /// beyond this truncation are dropped.
+    ///
+    /// The default covers layouts that store one tail `(s_1, …, s_L)`;
+    /// models that store several level blocks override it.
+    fn embed_state(&self, y: &[f64]) -> Vec<f64> {
+        embed_blocks(y, 0, 1, self.dim())
+    }
+
     /// Mean time a task spends in the system at state `y`
     /// (Little's law, `W = L/λ`).
     fn mean_time_in_system(&self, y: &[f64]) -> f64 {
         loadsteal_queueing::littles_law::time_in_system(self.mean_tasks(y), self.lambda())
     }
+}
+
+/// [`MeanFieldModel::embed_state`] for a state laid out as `head`
+/// scalars followed by `blocks` equally long level blocks, re-embedded
+/// at `levels` per block.
+pub(crate) fn embed_blocks(y: &[f64], head: usize, blocks: usize, levels: usize) -> Vec<f64> {
+    assert!(
+        y.len() >= head && (y.len() - head) % blocks == 0,
+        "state of {} values is not {head} scalars plus {blocks} whole blocks",
+        y.len()
+    );
+    let from = (y.len() - head) / blocks;
+    let keep = from.min(levels);
+    let mut out = vec![0.0; head + blocks * levels];
+    out[..head].copy_from_slice(&y[..head]);
+    for b in 0..blocks {
+        out[head + b * levels..][..keep].copy_from_slice(&y[head + b * from..][..keep]);
+    }
+    out
 }
 
 /// Validate an arrival rate for the dynamic models (`0 < λ < 1`).
@@ -114,7 +144,9 @@ pub(crate) fn check_lambda(lambda: f64) -> Result<(), String> {
 
 /// Default truncation for a task-tail model: enough levels that an
 /// `M/M/1`-speed tail (`λ^i`, an upper bound on every stealing model's
-/// tail) falls below 1e−14, with a floor for shallow systems.
+/// tail) falls below 1e−14, with a floor for shallow systems. It serves
+/// trajectories from arbitrary starts; the fixed-point solver sizes its
+/// own truncation from the measured tail.
 pub(crate) fn default_truncation(lambda: f64) -> usize {
     crate::tail::truncation_for_ratio(lambda, 1e-14, 32, 8_192)
 }

@@ -190,6 +190,10 @@ impl MeanFieldModel for TransferWs {
     fn boundary_mass(&self, y: &[f64]) -> f64 {
         self.s(y, self.levels).max(self.w(y, self.levels))
     }
+
+    fn embed_state(&self, y: &[f64]) -> Vec<f64> {
+        super::embed_blocks(y, 1, 2, self.levels)
+    }
 }
 
 #[cfg(test)]

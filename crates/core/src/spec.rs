@@ -827,6 +827,9 @@ impl MeanFieldModel for AnyModel {
     fn boundary_mass(&self, y: &[f64]) -> f64 {
         delegate!(self, m => m.boundary_mass(y))
     }
+    fn embed_state(&self, y: &[f64]) -> Vec<f64> {
+        delegate!(self, m => m.embed_state(y))
+    }
     fn mean_time_in_system(&self, y: &[f64]) -> f64 {
         delegate!(self, m => m.mean_time_in_system(y))
     }

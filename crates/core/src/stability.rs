@@ -93,7 +93,8 @@ impl ContractionReport {
 /// Integrate `model` from `start` and track the L₁ distance to `fixed`.
 ///
 /// Stops when the distance falls below `tol` or at `t_max`. The state
-/// and fixed point must have the model's dimension.
+/// and fixed point must have the model's dimension: re-embed a
+/// [`crate::FixedPoint::state`] with [`MeanFieldModel::embed_state`].
 pub fn check_l1_contraction<M: MeanFieldModel>(
     model: &M,
     start: &[f64],
@@ -160,7 +161,8 @@ mod tests {
         let m = SimpleWs::new(0.7).unwrap();
         let fp = solve(&m, &FixedPointOptions::default()).unwrap();
         let start = TailVector::uniform_load(5, m.truncation()).into_vec();
-        let report = check_l1_contraction(&m, &start, &fp.state, 1e-8, 2_000.0).unwrap();
+        let report =
+            check_l1_contraction(&m, &start, &m.embed_state(&fp.state), 1e-8, 2_000.0).unwrap();
         assert!(
             report.converged_at.is_some(),
             "did not converge: {report:?}"
@@ -178,7 +180,8 @@ mod tests {
         let m = SimpleWs::new(0.5).unwrap();
         let fp = solve(&m, &FixedPointOptions::default()).unwrap();
         let start = m.empty_state();
-        let report = check_l1_contraction(&m, &start, &fp.state, 1e-8, 2_000.0).unwrap();
+        let report =
+            check_l1_contraction(&m, &start, &m.embed_state(&fp.state), 1e-8, 2_000.0).unwrap();
         assert!(report.converged_at.is_some());
         assert!(report.final_distance < report.initial_distance);
     }
@@ -188,7 +191,8 @@ mod tests {
         let m = SimpleWs::new(0.6).unwrap();
         let fp = solve(&m, &FixedPointOptions::default()).unwrap();
         let start = TailVector::uniform_load(3, m.truncation()).into_vec();
-        let report = check_l1_contraction(&m, &start, &fp.state, 1e-6, 500.0).unwrap();
+        let report =
+            check_l1_contraction(&m, &start, &m.embed_state(&fp.state), 1e-6, 500.0).unwrap();
         assert!(report.trajectory.len() > 3);
         assert!(report.trajectory[0].1 >= report.trajectory.last().unwrap().1);
     }
@@ -200,7 +204,7 @@ mod tests {
             let m = SimpleWs::new(lambda).unwrap();
             let fp = solve(&m, &FixedPointOptions::default()).unwrap();
             let start = TailVector::uniform_load(3, m.truncation()).into_vec();
-            check_l1_contraction(&m, &start, &fp.state, 1e-9, 20_000.0)
+            check_l1_contraction(&m, &start, &m.embed_state(&fp.state), 1e-9, 20_000.0)
                 .unwrap()
                 .decay_rate()
                 .expect("fit")
@@ -220,7 +224,8 @@ mod tests {
         let m = SimpleWs::new(0.95).unwrap();
         let fp = solve(&m, &FixedPointOptions::default()).unwrap();
         let start = TailVector::uniform_load(4, m.truncation()).into_vec();
-        let report = check_l1_contraction(&m, &start, &fp.state, 1e-6, 20_000.0).unwrap();
+        let report =
+            check_l1_contraction(&m, &start, &m.embed_state(&fp.state), 1e-6, 20_000.0).unwrap();
         assert!(
             report.converged_at.is_some(),
             "no convergence at λ = 0.95: final D = {}",

@@ -99,16 +99,22 @@ impl TailVector {
     }
 
     /// Estimated geometric decay ratio `s_{i+1}/s_i` measured at the
-    /// deepest pair of levels above `floor` (returns `None` when the
-    /// tail is too short or too small to measure).
+    /// deepest resolved pair of levels: both above `floor`, and in the
+    /// half of the levels away from the truncation boundary, whose
+    /// reflection bends the last levels of a truncated tail. `None` when
+    /// the tail is too short or too small to measure.
     pub fn tail_ratio(&self, floor: f64) -> Option<f64> {
-        let vals = &self.values;
-        for i in (1..vals.len()).rev() {
-            if vals[i] > floor && vals[i - 1] > floor {
-                return Some(vals[i] / vals[i - 1]);
-            }
-        }
-        None
+        self.resolved_ratio(floor).map(|(_, ratio)| ratio)
+    }
+
+    /// The deepest resolved pair of levels `(i − 1, i)`, as
+    /// `(i, s_i/s_{i−1})`; see [`Self::tail_ratio`].
+    pub(crate) fn resolved_ratio(&self, floor: f64) -> Option<(usize, f64)> {
+        let near = &self.values[..self.values.len() / 2];
+        (1..near.len())
+            .rev()
+            .find(|&k| near[k] > floor && near[k - 1] > floor)
+            .map(|k| (k + 1, near[k] / near[k - 1]))
     }
 
     /// Clamp to `[0, 1]` and restore monotonicity; used as the
@@ -124,9 +130,13 @@ impl TailVector {
 
 /// Truncation level so that a geometric tail with the given `ratio`
 /// drops below `eps`: the smallest `L` with `ratio^L < eps`, clamped to
-/// `[min, max]`.
+/// `[min, max]`. A tail that does not decay (`ratio ≥ 1` or NaN) gets
+/// `max`; one that vanishes at once (`ratio ≤ 0`) gets `min`.
 pub fn truncation_for_ratio(ratio: f64, eps: f64, min: usize, max: usize) -> usize {
-    if !(0.0..1.0).contains(&ratio) || ratio == 0.0 {
+    if ratio >= 1.0 || ratio.is_nan() {
+        return max;
+    }
+    if ratio <= 0.0 {
         return min;
     }
     let l = (eps.ln() / ratio.ln()).ceil();
@@ -177,6 +187,27 @@ mod tests {
     }
 
     #[test]
+    fn tail_ratio_is_measured_away_from_the_boundary() {
+        // A truncated geometric tail bends at the boundary: s_i ∝
+        // ρ^i − ρ^{L+1}, as for an M/M/1 queue of capacity L.
+        let (rho, levels) = (0.9_f64, 300_usize);
+        let values: Vec<f64> = (1..=levels as i32)
+            .map(|i| rho.powi(i) - rho.powi(levels as i32 + 1))
+            .collect();
+        // The last pair reads ρ/(1 + ρ), far from ρ.
+        let last = values[levels - 1] / values[levels - 2];
+        assert!(
+            (last - rho / (1.0 + rho)).abs() < 1e-12,
+            "last ratio {last}"
+        );
+        let (level, ratio) = TailVector::from_slice(&values)
+            .resolved_ratio(1e-12)
+            .unwrap();
+        assert_eq!(level, levels / 2);
+        assert!((ratio - rho).abs() < 1e-7, "ratio {ratio}");
+    }
+
+    #[test]
     fn tail_ratio_none_when_too_small() {
         let t = TailVector::empty(10);
         assert!(t.tail_ratio(1e-12).is_none());
@@ -197,6 +228,8 @@ mod tests {
         assert!(0.5f64.powi(small as i32) < 1e-14);
         assert!(0.99f64.powi(big as i32) < 1e-14);
         assert_eq!(truncation_for_ratio(0.0, 1e-14, 16, 10_000), 16);
+        assert_eq!(truncation_for_ratio(1.0, 1e-14, 16, 10_000), 10_000);
+        assert_eq!(truncation_for_ratio(f64::NAN, 1e-14, 16, 10_000), 10_000);
         assert_eq!(truncation_for_ratio(0.9, 1e-300, 16, 100), 100); // clamped
     }
 }

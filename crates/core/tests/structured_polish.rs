@@ -166,6 +166,15 @@ fn every_preset_polishes_at_lambda_0_9_and_0_95() {
 }
 
 #[test]
+fn every_preset_polishes_at_lambda_0_99() {
+    // Rebalancing's Jacobian is dense; it polishes here because the
+    // solver sizes its truncation by the fast tail (~55 levels).
+    for p in ModelRegistry::standard().presets() {
+        assert_polished(&ModelSpec::parse(&format!("{},lambda=0.99", p.name)).unwrap());
+    }
+}
+
+#[test]
 fn no_steal_at_lambda_0_99_is_mm1() {
     let fp = ModelSpec::parse("no-steal,lambda=0.99")
         .unwrap()

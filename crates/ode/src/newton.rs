@@ -13,6 +13,8 @@
 //! evaluation per column colour, and every Jacobian is factored as a band
 //! plus a dense border ([`crate::bordered`]).
 
+use loadsteal_obs::span::span;
+
 use crate::bordered::BorderedBanded;
 use crate::jacobian::{Colouring, SparseJacobian};
 use crate::norms::max_abs;
@@ -143,6 +145,7 @@ pub fn newton_solve(
     x: &mut [f64],
     opts: &NewtonOptions,
 ) -> Result<NewtonReport, NewtonError> {
+    let _span = span("ode.newton");
     let n = x.len();
     let mut fx = vec![0.0; n];
     let mut fx_trial = vec![0.0; n];
@@ -162,25 +165,30 @@ pub fn newton_solve(
                 residual: res,
             });
         }
-        match &mut structure {
-            Some((jac, _, colouring)) => jac.refill(&mut f, x, &fx, opts.fd_eps, colouring),
-            None => {
-                let jac = SparseJacobian::probe(&mut f, x, &fx, opts.fd_eps);
-                let layout = BorderedBanded::analyse(&jac);
-                if layout.dense_dim() > opts.max_dense_dim {
-                    return Err(NewtonError::TooDense {
-                        dense: layout.dense_dim(),
-                        limit: opts.max_dense_dim,
-                    });
+        {
+            let _span = span("ode.jacobian");
+            match &mut structure {
+                Some((jac, _, colouring)) => jac.refill(&mut f, x, &fx, opts.fd_eps, colouring),
+                None => {
+                    let jac = SparseJacobian::probe(&mut f, x, &fx, opts.fd_eps);
+                    let layout = BorderedBanded::analyse(&jac);
+                    if layout.dense_dim() > opts.max_dense_dim {
+                        return Err(NewtonError::TooDense {
+                            dense: layout.dense_dim(),
+                            limit: opts.max_dense_dim,
+                        });
+                    }
+                    let colouring = jac.colour(layout.border());
+                    structure = Some((jac, layout, colouring));
                 }
-                let colouring = jac.colour(layout.border());
-                structure = Some((jac, layout, colouring));
             }
         }
         let (jac, layout, _) = structure.as_ref().expect("probed above");
-        let lu = layout
-            .factor(jac)
-            .map_err(|_| NewtonError::SingularJacobian { iteration: iter })?;
+        let lu = {
+            let _span = span("ode.factor");
+            layout.factor(jac)
+        }
+        .map_err(|_| NewtonError::SingularJacobian { iteration: iter })?;
         // Newton direction: J dx = -F.
         let mut dx: Vec<f64> = fx.iter().map(|v| -v).collect();
         lu.solve_in_place(&mut dx);

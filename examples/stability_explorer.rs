@@ -31,6 +31,7 @@ fn main() {
     for lambda in [0.5, 0.7, 0.809, 0.9, 0.95, 0.99] {
         let model = SimpleWs::new(lambda).expect("valid λ");
         let fp = solve(&model, &FixedPointOptions::default()).expect("fixed point");
+        let fixed = model.embed_state(&fp.state);
         let levels = model.truncation();
         let starts: Vec<(&str, Vec<f64>)> = vec![
             ("empty", model.empty_state()),
@@ -44,8 +45,8 @@ fn main() {
             ),
         ];
         for (name, start) in starts {
-            let report = check_l1_contraction(&model, &start, &fp.state, 1e-6, 50_000.0)
-                .expect("integration");
+            let report =
+                check_l1_contraction(&model, &start, &fixed, 1e-6, 50_000.0).expect("integration");
             println!(
                 "{lambda:>6.3} {:>10} {name:>16} {:>14.4} {:>14.2e} {:>12}",
                 if theorem_condition_holds(lambda) {
