@@ -8,8 +8,8 @@ use loadsteal_core::tail::TailVector;
 use loadsteal_core::{ModelRegistry, ModelSpec, PresetTier};
 use loadsteal_exec::stealbench::{StealBench, StealBenchConfig};
 use loadsteal_obs::{
-    prometheus_text, EventCounts, Recorder, Registry, RegistryRecorder, SharedRecorder,
-    TailReference, TraceHeader, TAIL_SAMPLE_DEPTH,
+    prometheus_text, EventCounts, Recorder, Registry, RegistryRecorder, TailReference, TraceHeader,
+    TAIL_SAMPLE_DEPTH,
 };
 use loadsteal_sim::{
     replicate, replicate_recorded, SimConfig, StealPolicy, ToSimConfig, DEFAULT_HEARTBEAT_EVERY,
@@ -305,11 +305,7 @@ pub fn simulate(a: &Args) -> Result<(), String> {
         None
     };
 
-    let shared = SharedRecorder::new(rec);
-    let result = replicate_recorded(&cfg, runs, seed, &shared);
-    let rec = shared
-        .try_into_inner()
-        .expect("replication worker handles are released");
+    let result = replicate_recorded(&cfg, runs, seed, &mut rec);
     let (counts, trace_lines) = rec.finish()?;
 
     let ci = result.sojourn_ci();
@@ -644,16 +640,12 @@ pub fn stealbench(a: &Args) -> Result<(), String> {
         cfg.horizon * cfg.tau
     );
 
-    // Sharded trace path (the default): each worker appends into its
-    // own shard, the driver into shard `workers`, and the merge on
-    // drain restores one globally t-ordered stream. No global sink
-    // lock is taken per event — see docs/telemetry.md.
-    let sink = Arc::new(loadsteal_obs::ShardedRecorder::with_shards(
-        rec,
-        cfg.workers + 1,
-    ));
-    let bench =
-        StealBench::new_sharded(&cfg, Arc::clone(&sink) as Arc<dyn loadsteal_obs::ShardSink>)?;
+    // Each worker appends into its own shard, the submitting thread
+    // into shard `workers`, and the merge on drain restores one globally
+    // t-ordered stream. No global sink lock is taken per event — see
+    // docs/telemetry.md.
+    let sink = Arc::new(loadsteal_obs::ShardedRecorder::new(rec, cfg.workers + 1));
+    let bench = StealBench::new(&cfg, Arc::clone(&sink) as Arc<dyn loadsteal_obs::ShardSink>)?;
     bench.drive();
     let (outcome, per_worker) = bench.finish_detailed();
     // The pool joined its workers at shutdown, so ours is the last
@@ -1049,14 +1041,12 @@ pub fn serve(a: &Args) -> Result<(), String> {
             Err(e) => loadsteal_obs::debug!("no transient reference for this spec: {e}"),
         }
     }
-    let rec = SharedRecorder::new(reg_rec);
     let worker = {
         let cfg = cfg.clone();
-        let rec = rec.clone();
         std::thread::spawn(move || {
-            let result = replicate_recorded(&cfg, runs, seed, &rec);
+            let result = replicate_recorded(&cfg, runs, seed, &mut reg_rec);
             if let Some(d) = result.merged_sojourn_digest() {
-                rec.with(|r| r.registry().sketch("sim.sojourn_time").merge_from(&d));
+                reg_rec.registry().sketch("sim.sojourn_time").merge_from(&d);
             }
         })
     };
@@ -1073,8 +1063,8 @@ pub fn serve(a: &Args) -> Result<(), String> {
 /// `loadsteal serve --stealbench` — drive the real work-stealing pool
 /// (the `stealbench` workload) while serving its live per-worker
 /// gauges: `exec.worker.<i>.deque_depth/inbox_depth/steals/parks/…`
-/// refreshed on every scrape, plus a per-worker-sharded `exec.steals`
-/// counter folded into one total at exposition time.
+/// refreshed on every scrape, plus an `exec.steals` counter of the
+/// pool's total steal hits.
 fn serve_stealbench(a: &Args) -> Result<(), String> {
     use std::sync::Arc;
 
@@ -1089,11 +1079,9 @@ fn serve_stealbench(a: &Args) -> Result<(), String> {
         std::thread::spawn(move || bench.drive())
     };
 
-    // Steal totals flow through a per-worker-sharded counter: the
-    // refresh below adds each worker's delta into that worker's own
-    // slot, and the scrape reads the folded sum — the registry-side
-    // mirror of the pool's padded per-worker counter discipline.
-    let steals = registry.sharded_counter("exec.steals", cfg.workers);
+    // Steal totals: the refresh below is the counter's only writer,
+    // adding each worker's new steals since the previous scrape.
+    let steals = registry.counter("exec.steals");
     let mut prev_steals = vec![0u64; cfg.workers];
     let refresh_bench = Arc::clone(&bench);
     let refresh_registry = std::sync::Arc::clone(&registry);
@@ -1102,7 +1090,7 @@ fn serve_stealbench(a: &Args) -> Result<(), String> {
         for (i, w) in per.iter().enumerate() {
             let delta = w.steal_successes.saturating_sub(prev_steals[i]);
             if delta > 0 {
-                steals.add(i, delta);
+                steals.add(delta);
                 prev_steals[i] = w.steal_successes;
             }
         }

@@ -34,7 +34,7 @@ fn table1_estimate_column_every_cell() {
 
 #[test]
 fn table2_estimate_columns_low_lambda() {
-    // (λ, c, paper estimate, tolerance); λ = 0.99 is in the ignored
+    // (λ, c, paper estimate, tolerance); λ = 0.99 is in the heavy-load
     // test below. The (0.90, 20) cell is printed as 2.700 in the scan
     // while we compute 2.7094 (stable under 4× truncation and 100×
     // tighter tolerances) — with every neighbouring cell matching to
@@ -62,7 +62,6 @@ fn table2_estimate_columns_low_lambda() {
 }
 
 #[test]
-#[ignore = "λ = 0.99 stage systems are ~6000-dimensional; ~1 min in test builds"]
 fn table2_estimate_columns_heavy_load() {
     for &(lambda, c, expect) in &[(0.99, 10, 7.581), (0.99, 20, 7.399)] {
         let m = ErlangStages::new(lambda, c).unwrap();

@@ -22,9 +22,10 @@
 //! When built with a tracer ([`PoolBuilder::tracer`]) the pool emits
 //! `loadsteal.trace.v1` events — arrival / completion / steal-attempt
 //! / steal-success / migration with real wall-clock timestamps mapped
-//! to model time — through any [`Recorder`], using the exact
-//! conventions of the simulator engine so `loadsteal report` and the
-//! transient comparator consume measured executor traces unchanged.
+//! to model time — through a [`ShardSink`], one shard per emitting
+//! thread, using the exact conventions of the simulator engine so
+//! `loadsteal report` and the transient comparator consume measured
+//! executor traces unchanged.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -34,7 +35,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use loadsteal_obs::span::span;
-use loadsteal_obs::{Event as ObsEvent, Recorder, ShardSink, SimEventKind};
+use loadsteal_obs::{Event as ObsEvent, ShardSink, SimEventKind};
 
 use crate::deque::{self, Steal, Stealer, Worker};
 use crate::injector::Injector;
@@ -95,65 +96,36 @@ pub struct WorkerStats {
     pub busy: bool,
 }
 
-/// Where trace events go: the legacy single-lock sink, or one shard
-/// per emitting thread (the executor's default — no cross-worker
-/// contention per event).
-enum TraceSink {
-    /// Every emit takes this lock; the timestamp is read *inside* it,
-    /// so the emitted stream is globally monotone in `t` as written.
-    Locked(Arc<Mutex<dyn Recorder + Send>>),
-    /// Every emit stamps `t` on the emitting thread and appends to its
-    /// own shard. Per-shard streams are monotone; the global order is
-    /// recovered by the [`ShardedRecorder`](loadsteal_obs::ShardedRecorder)
-    /// merge on drain.
-    Sharded(Arc<dyn ShardSink>),
-}
-
-/// Wall-clock → model-time trace emission state.
+/// Wall-clock → model-time trace emission state. Every emit stamps
+/// `t` on the emitting thread and appends to that thread's own shard:
+/// per-shard streams are monotone, and the sink's merge on drain (what
+/// [`ShardedRecorder`](loadsteal_obs::ShardedRecorder) does) recovers
+/// the global order.
 struct Tracer {
-    sink: TraceSink,
+    sink: Arc<dyn ShardSink>,
     epoch: Instant,
     /// Seconds of wall clock per unit of model time.
     tau: f64,
 }
 
 impl Tracer {
-    /// Record one simulator-schema event. `shard` identifies the
-    /// emitting thread (worker index, or `n` for the external driver)
-    /// and is ignored by the locked path.
+    /// Record one simulator-schema event on `shard`, the emitting
+    /// thread's index (worker index, or `n` for external submitters).
     fn emit(&self, kind: SimEventKind, proc: usize, src: Option<usize>, count: u32, shard: usize) {
-        match &self.sink {
-            TraceSink::Locked(sink) => {
-                let mut sink = sink.lock().unwrap();
-                if !sink.enabled() {
-                    return;
-                }
-                let t = self.epoch.elapsed().as_secs_f64() / self.tau;
-                sink.record(&ObsEvent::Sim {
-                    kind,
-                    t,
-                    proc: proc as u32,
-                    src: src.map(|s| s as u32),
-                    count,
-                });
-            }
-            TraceSink::Sharded(sink) => {
-                if !sink.enabled() {
-                    return;
-                }
-                let t = self.epoch.elapsed().as_secs_f64() / self.tau;
-                sink.record(
-                    shard,
-                    &ObsEvent::Sim {
-                        kind,
-                        t,
-                        proc: proc as u32,
-                        src: src.map(|s| s as u32),
-                        count,
-                    },
-                );
-            }
+        if !self.sink.enabled() {
+            return;
         }
+        let t = self.epoch.elapsed().as_secs_f64() / self.tau;
+        self.sink.record(
+            shard,
+            &ObsEvent::Sim {
+                kind,
+                t,
+                proc: proc as u32,
+                src: src.map(|s| s as u32),
+                count,
+            },
+        );
     }
 }
 
@@ -563,7 +535,7 @@ pub struct PoolBuilder {
     threads: Option<usize>,
     mode: StealMode,
     seed: u64,
-    tracer: Option<(TraceSink, f64)>,
+    tracer: Option<(Arc<dyn ShardSink>, f64)>,
 }
 
 impl Default for PoolBuilder {
@@ -603,36 +575,27 @@ impl PoolBuilder {
     }
 
     /// Emit simulator-schema trace events into `sink`, mapping wall
-    /// clock to model time at `tau` seconds per time unit. The epoch
-    /// is the moment [`PoolBuilder::build`] runs. Every event takes
-    /// the sink lock; prefer [`PoolBuilder::sharded_tracer`] when the
-    /// pool itself is the system under measurement.
-    pub fn tracer(mut self, sink: Arc<Mutex<dyn Recorder + Send>>, tau: f64) -> Self {
+    /// clock to model time at `tau` seconds per time unit; the epoch
+    /// is the moment [`PoolBuilder::build`] runs. Each worker appends
+    /// to its own shard (no cross-worker lock per event), and external
+    /// [`Pool::submit_to`] callers share shard `n`. The sink must
+    /// provide at least `threads + 1` shards — [`PoolBuilder::build`]
+    /// asserts this — and is expected to merge-sort shards back into
+    /// one `t`-ordered stream on drain (what
+    /// [`loadsteal_obs::ShardedRecorder`] does).
+    pub fn tracer(mut self, sink: Arc<dyn ShardSink>, tau: f64) -> Self {
         assert!(tau > 0.0, "tau must be positive");
-        self.tracer = Some((TraceSink::Locked(sink), tau));
-        self
-    }
-
-    /// Emit trace events through per-thread shards: each worker
-    /// appends to its own shard (no cross-worker lock per event), and
-    /// external [`Pool::submit_to`] callers share shard `n`. The sink
-    /// must provide at least `threads + 1` shards —
-    /// [`PoolBuilder::build`] asserts this — and is expected to
-    /// merge-sort shards back into one `t`-ordered stream on drain
-    /// (what [`loadsteal_obs::ShardedRecorder`] does).
-    pub fn sharded_tracer(mut self, sink: Arc<dyn ShardSink>, tau: f64) -> Self {
-        assert!(tau > 0.0, "tau must be positive");
-        self.tracer = Some((TraceSink::Sharded(sink), tau));
+        self.tracer = Some((sink, tau));
         self
     }
 
     /// Spawn the workers and return the pool handle.
     pub fn build(self) -> Pool {
         let threads = self.threads.unwrap_or_else(default_threads).max(1);
-        if let Some((TraceSink::Sharded(sink), _)) = &self.tracer {
+        if let Some((sink, _)) = &self.tracer {
             assert!(
                 sink.shards() > threads,
-                "sharded tracer needs {} shards ({} workers + 1 driver), sink has {}",
+                "tracer needs {} shards ({} workers + 1 submitter), sink has {}",
                 threads + 1,
                 threads,
                 sink.shards()
@@ -1163,13 +1126,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sharded tracer needs")]
-    fn sharded_tracer_shard_count_is_checked() {
+    #[should_panic(expected = "tracer needs")]
+    fn tracer_shard_count_is_checked() {
         use loadsteal_obs::{NullRecorder, ShardedRecorder};
-        let sink: Arc<dyn ShardSink> = Arc::new(ShardedRecorder::with_shards(NullRecorder, 2));
-        let _ = Pool::builder()
-            .num_threads(4)
-            .sharded_tracer(sink, 0.004)
-            .build();
+        let sink: Arc<dyn ShardSink> = Arc::new(ShardedRecorder::new(NullRecorder, 2));
+        let _ = Pool::builder().num_threads(4).tracer(sink, 0.004).build();
     }
 }

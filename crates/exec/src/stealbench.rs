@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use loadsteal_obs::{Recorder, ShardSink};
+use loadsteal_obs::ShardSink;
 
 use crate::pool::{Pool, PoolBuilder, PoolStats, StealMode};
 use crate::rng::{splitmix64, Rng};
@@ -210,21 +210,12 @@ pub struct StealBench {
 }
 
 impl StealBench {
-    /// Build the bench around a classic locked recorder (every trace
-    /// event takes the sink lock; see [`PoolBuilder::tracer`]).
-    pub fn new(
-        cfg: &StealBenchConfig,
-        recorder: Arc<Mutex<dyn Recorder + Send>>,
-    ) -> Result<Self, String> {
-        Self::build(cfg, |b| b.tracer(recorder, cfg.tau))
-    }
-
     /// Build the bench around a sharded sink: workers trace into their
     /// own shards, the driver into shard `workers` — no global sink
     /// lock on the hot path. `sink` needs at least `workers + 1`
-    /// shards (see [`PoolBuilder::sharded_tracer`]).
-    pub fn new_sharded(cfg: &StealBenchConfig, sink: Arc<dyn ShardSink>) -> Result<Self, String> {
-        Self::build(cfg, |b| b.sharded_tracer(sink, cfg.tau))
+    /// shards (see [`PoolBuilder::tracer`]).
+    pub fn new(cfg: &StealBenchConfig, sink: Arc<dyn ShardSink>) -> Result<Self, String> {
+        Self::build(cfg, |b| b.tracer(sink, cfg.tau))
     }
 
     /// Build the bench without any tracer: the pool emits nothing, so
@@ -326,25 +317,14 @@ impl StealBench {
 }
 
 /// Run one measured steal-bench: build an [`StealMode::OnEmptyOnce`]
-/// pool tracing into `recorder`, drive the Poisson schedule against
-/// it, and return the counters. The recorder receives the full event
-/// stream (monotone in model time `t`).
+/// pool tracing into `sink`, drive the Poisson schedule against it,
+/// and return the counters. The sink's drain recovers the full event
+/// stream, monotone in model time `t`.
 pub fn run_once(
-    cfg: &StealBenchConfig,
-    recorder: Arc<Mutex<dyn Recorder + Send>>,
-) -> Result<StealBenchOutcome, String> {
-    let bench = StealBench::new(cfg, recorder)?;
-    bench.drive();
-    Ok(bench.finish())
-}
-
-/// [`run_once`] over the sharded trace path: no global sink lock per
-/// event; the sink's drain recovers the globally `t`-ordered stream.
-pub fn run_once_sharded(
     cfg: &StealBenchConfig,
     sink: Arc<dyn ShardSink>,
 ) -> Result<StealBenchOutcome, String> {
-    let bench = StealBench::new_sharded(cfg, sink)?;
+    let bench = StealBench::new(cfg, sink)?;
     bench.drive();
     Ok(bench.finish())
 }
@@ -400,29 +380,36 @@ mod tests {
         assert!(a.windows(2).all(|w| w[0].t <= w[1].t));
     }
 
-    /// End-to-end smoke: a short run produces a monotone trace whose
-    /// arrival/completion/steal events are consistent with the pool
-    /// counters. (~80 ms of wall clock.)
+    /// Run `cfg` through [`run_once`] into a sharded collecting sink
+    /// with one shard per worker plus the driver's, and return the
+    /// counters with the merged event stream.
+    fn traced_run(cfg: &StealBenchConfig) -> (StealBenchOutcome, Vec<Event>) {
+        use loadsteal_obs::ShardedRecorder;
+        let sink = Arc::new(ShardedRecorder::new(
+            CollectingRecorder::new(),
+            cfg.workers + 1,
+        ));
+        let out = run_once(cfg, Arc::clone(&sink) as Arc<dyn ShardSink>).expect("bench runs");
+        let events = Arc::try_unwrap(sink)
+            .unwrap_or_else(|_| panic!("pool must release its sink on shutdown"))
+            .finish()
+            .into_events();
+        (out, events)
+    }
+
+    /// End-to-end smoke: a short run's arrival/completion/steal events
+    /// are consistent with the pool counters. (~80 ms of wall clock.)
     #[test]
     fn run_once_produces_a_consistent_trace() {
-        let sink: Arc<Mutex<CollectingRecorder>> = Arc::new(Mutex::new(CollectingRecorder::new()));
-        let out = run_once(
-            &tiny(),
-            Arc::clone(&sink) as Arc<Mutex<dyn Recorder + Send>>,
-        )
-        .expect("bench runs");
-        let events = sink.lock().unwrap().events().to_vec();
+        let (out, events) = traced_run(&tiny());
         assert!(!events.is_empty(), "trace must not be empty");
         let mut arrivals = 0u64;
         let mut completions = 0u64;
         let mut attempts = 0u64;
         let mut successes = 0u64;
         let mut migrations = 0u64;
-        let mut last_t = f64::NEG_INFINITY;
         for e in &events {
-            if let Event::Sim { kind, t, .. } = e {
-                assert!(*t >= last_t, "trace must be monotone in t");
-                last_t = *t;
+            if let Event::Sim { kind, .. } = e {
                 match kind {
                     SimEventKind::Arrival => arrivals += 1,
                     SimEventKind::Completion => completions += 1,
@@ -443,42 +430,33 @@ mod tests {
         assert!(completions as f64 >= 0.8 * arrivals as f64);
     }
 
-    /// The sharded path must emit the same *kind* of trace the locked
-    /// path does: after the merge-on-drain, globally monotone in `t`
-    /// and count-consistent with the pool's own counters.
+    /// The merge-on-drain interleaves every shard into one stream:
+    /// arrivals (driver shard) and each worker's completions (its own
+    /// shard) all reach the sink, globally monotone in `t`.
     #[test]
     fn run_once_sharded_produces_a_consistent_merged_trace() {
-        use loadsteal_obs::{ShardSink, ShardedRecorder};
         let cfg = tiny();
-        let sharded = Arc::new(ShardedRecorder::with_shards(
-            CollectingRecorder::new(),
-            cfg.workers + 1,
-        ));
-        let out = run_once_sharded(&cfg, Arc::clone(&sharded) as Arc<dyn ShardSink>)
-            .expect("sharded bench runs");
-        let rec = Arc::try_unwrap(sharded)
-            .unwrap_or_else(|_| panic!("pool must release its sink on shutdown"))
-            .finish();
-        let events = rec.events().to_vec();
+        let (out, events) = traced_run(&cfg);
         assert!(!events.is_empty(), "merged trace must not be empty");
         let mut arrivals = 0u64;
-        let mut completions = 0u64;
-        let mut attempts = 0u64;
+        let mut completed_by = vec![0u64; cfg.workers];
         let mut last_t = f64::NEG_INFINITY;
         for e in &events {
-            if let Event::Sim { kind, t, .. } = e {
+            if let Event::Sim { kind, t, proc, .. } = e {
                 assert!(*t >= last_t, "merged trace must be monotone in t");
                 last_t = *t;
                 match kind {
                     SimEventKind::Arrival => arrivals += 1,
-                    SimEventKind::Completion => completions += 1,
-                    SimEventKind::StealAttempt => attempts += 1,
+                    SimEventKind::Completion => completed_by[*proc as usize] += 1,
                     _ => {}
                 }
             }
         }
         assert_eq!(arrivals, out.submitted);
-        assert_eq!(completions, out.completed);
-        assert_eq!(attempts, out.stats.steal_attempts);
+        assert!(
+            completed_by.iter().all(|&c| c > 0),
+            "every worker's shard must reach the merged trace: {completed_by:?}"
+        );
+        assert_eq!(completed_by.iter().sum::<u64>(), out.completed);
     }
 }

@@ -12,11 +12,12 @@
 //!   [`NullRecorder`] is free (its `enabled()` hint lets hot loops skip
 //!   event construction entirely), [`CountingRecorder`] aggregates
 //!   in-memory tallies, [`NdjsonRecorder`] streams one JSON object per
-//!   event line, [`SharedRecorder`] makes any sink shareable across
-//!   replication worker threads, and [`ShardedRecorder`] gives each
-//!   producer thread its own contention-free shard, merge-sorted back
-//!   into one globally ordered stream on drain (the executor's trace
-//!   path — see `docs/telemetry.md`).
+//!   event line, and [`ShardedRecorder`] gives each producer thread
+//!   its own contention-free shard, merge-sorted back into one
+//!   globally ordered stream on drain (the executor's trace path —
+//!   see `docs/telemetry.md`). Parallel simulator replications need
+//!   no shared sink type: each run buffers privately and hands its
+//!   events to the caller's recorder in batches.
 //! * **Metrics** ([`registry::Registry`]): named counters, gauges, and
 //!   log2-bucketed histograms, snapshottable into a JSON
 //!   [`registry::MetricsReport`] — the machine-readable footprint of a
@@ -29,7 +30,6 @@
 //! everything serializes through (no serde), [`sketch`] provides a
 //! mergeable streaming quantile digest, [`prom`] renders any
 //! [`registry::MetricsReport`] in Prometheus text format,
-//! [`timer`] provides scoped wall-clock timers feeding histograms,
 //! [`span`] is the hierarchical span profiler (Chrome-trace and
 //! folded-stack exports), [`flight`] is the crash-safe flight recorder
 //! whose panic hook dumps the recent event ring, and [`log`] is the
@@ -49,7 +49,6 @@ pub mod registry;
 pub mod shard;
 pub mod sketch;
 pub mod span;
-pub mod timer;
 
 pub use event::{Event, JobEventKind, SimEventKind, TraceHeader, TAIL_SAMPLE_DEPTH, TRACE_SCHEMA};
 pub use flight::PanicRecord;
@@ -57,10 +56,9 @@ pub use manifest::{ConfigValue, RunManifest};
 pub use prom::prometheus_text;
 pub use recorder::{
     CollectingRecorder, CountingRecorder, EventCounts, NdjsonRecorder, NullRecorder, Recorder,
-    RegistryRecorder, SharedRecorder, TailReference,
+    RegistryRecorder, TailReference,
 };
-pub use registry::{Counter, Gauge, Histogram, MetricsReport, Registry, ShardedCounter, Sketch};
+pub use registry::{Counter, Gauge, Histogram, MetricsReport, Registry, Sketch};
 pub use shard::{ShardSink, ShardedRecorder};
 pub use sketch::Digest;
 pub use span::{ProfileReport, SpanAggregate, SpanGuard, SpanInstance, SpanRecord, ThreadProfile};
-pub use timer::{ScopedTimer, Stopwatch};

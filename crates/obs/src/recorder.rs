@@ -8,7 +8,7 @@
 use crate::event::{Event, JobEventKind, SimEventKind};
 use crate::registry::{Counter, Gauge, Registry};
 use std::io::Write;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A sink for structured events.
 pub trait Recorder {
@@ -515,64 +515,6 @@ impl Recorder for RegistryRecorder {
     }
 }
 
-/// A cloneable handle that lets several owners (e.g. replication worker
-/// threads) feed one underlying recorder through a mutex.
-#[derive(Debug)]
-pub struct SharedRecorder<R: Recorder> {
-    inner: Arc<Mutex<R>>,
-    enabled: bool,
-}
-
-impl<R: Recorder> Clone for SharedRecorder<R> {
-    fn clone(&self) -> Self {
-        Self {
-            inner: Arc::clone(&self.inner),
-            enabled: self.enabled,
-        }
-    }
-}
-
-impl<R: Recorder> SharedRecorder<R> {
-    /// Wrap a recorder for shared use. The `enabled` hint is sampled
-    /// once here (lock-free reads afterwards).
-    pub fn new(inner: R) -> Self {
-        let enabled = inner.enabled();
-        Self {
-            inner: Arc::new(Mutex::new(inner)),
-            enabled,
-        }
-    }
-
-    /// Run `f` against the underlying recorder.
-    pub fn with<T>(&self, f: impl FnOnce(&mut R) -> T) -> T {
-        f(&mut self.inner.lock().expect("recorder mutex poisoned"))
-    }
-
-    /// Unwrap if this is the last handle; otherwise returns `None`.
-    pub fn try_into_inner(self) -> Option<R> {
-        Arc::try_unwrap(self.inner)
-            .ok()
-            .map(|m| m.into_inner().expect("recorder mutex poisoned"))
-    }
-}
-
-impl<R: Recorder> Recorder for SharedRecorder<R> {
-    fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    fn record(&mut self, ev: &Event) {
-        self.inner
-            .lock()
-            .expect("recorder mutex poisoned")
-            .record(ev);
-    }
-
-    fn flush(&mut self) {
-        self.inner.lock().expect("recorder mutex poisoned").flush();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -812,27 +754,6 @@ mod tests {
         );
         let text = String::from_utf8(w.out).unwrap();
         assert_eq!(text.lines().count(), n as usize);
-    }
-
-    #[test]
-    fn shared_recorder_funnels_to_one_sink() {
-        let shared = SharedRecorder::new(CountingRecorder::new());
-        assert!(shared.enabled());
-        let mut a = shared.clone();
-        let mut b = shared.clone();
-        a.record(&sim(SimEventKind::Arrival, 1));
-        b.record(&sim(SimEventKind::Completion, 1));
-        drop(a);
-        drop(b);
-        let counts = shared.with(|r| r.counts());
-        assert_eq!(counts.arrivals, 1);
-        assert_eq!(counts.completions, 1);
-    }
-
-    #[test]
-    fn shared_null_recorder_stays_disabled() {
-        let shared = SharedRecorder::new(NullRecorder);
-        assert!(!shared.enabled());
     }
 
     #[test]

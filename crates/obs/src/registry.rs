@@ -33,63 +33,6 @@ impl Counter {
     }
 }
 
-/// One cache-line-aligned counter slot, so adjacent shards of a
-/// [`ShardedCounter`] never share a line.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-struct PaddedCounter(AtomicU64);
-
-/// A counter sharded across per-worker slots: each updater increments
-/// its own cache line, and readers fold the slots on
-/// [`ShardedCounter::get`] / registry snapshot. Use it where many
-/// threads bump the same logical counter at high rate (the executor's
-/// per-worker task and steal tallies); a plain [`Counter`] is fine
-/// everywhere else.
-#[derive(Debug)]
-pub struct ShardedCounter {
-    slots: Box<[PaddedCounter]>,
-}
-
-impl ShardedCounter {
-    /// A counter with `shards` independent slots (at least one).
-    pub fn new(shards: usize) -> Self {
-        ShardedCounter {
-            slots: (0..shards.max(1))
-                .map(|_| PaddedCounter::default())
-                .collect(),
-        }
-    }
-
-    /// Number of slots.
-    pub fn shards(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Add one on `shard` (indices wrap modulo the slot count).
-    pub fn inc(&self, shard: usize) {
-        self.add(shard, 1);
-    }
-
-    /// Add `n` on `shard`.
-    pub fn add(&self, shard: usize, n: u64) {
-        self.slots[shard % self.slots.len()]
-            .0
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// One slot's value (indices wrap).
-    pub fn slot(&self, shard: usize) -> u64 {
-        self.slots[shard % self.slots.len()]
-            .0
-            .load(Ordering::Relaxed)
-    }
-
-    /// Folded total across all slots.
-    pub fn get(&self) -> u64 {
-        self.slots.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
-    }
-}
-
 /// A last-value-wins floating-point gauge (stored as `f64` bits).
 #[derive(Debug, Default)]
 pub struct Gauge(AtomicU64);
@@ -277,7 +220,6 @@ impl Sketch {
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    sharded: Mutex<BTreeMap<String, Arc<ShardedCounter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
     sketches: Mutex<BTreeMap<String, Arc<Sketch>>>,
@@ -296,21 +238,6 @@ impl Registry {
             return Arc::clone(c);
         }
         let c = Arc::new(Counter::default());
-        map.insert(name.to_owned(), Arc::clone(&c));
-        c
-    }
-
-    /// Get or create the per-worker sharded counter `name` with
-    /// `shards` slots. An existing counter wins (its slot count is
-    /// kept), so resolve once per instrumented site. On snapshot the
-    /// folded total appears among the plain counters under `name` —
-    /// scrape and `--metrics-json` consumers never see the sharding.
-    pub fn sharded_counter(&self, name: &str, shards: usize) -> Arc<ShardedCounter> {
-        let mut map = self.sharded.lock().expect("registry poisoned");
-        if let Some(c) = map.get(name) {
-            return Arc::clone(c);
-        }
-        let c = Arc::new(ShardedCounter::new(shards));
         map.insert(name.to_owned(), Arc::clone(&c));
         c
     }
@@ -348,21 +275,15 @@ impl Registry {
         s
     }
 
-    /// Point-in-time snapshot of every metric. Sharded counters are
-    /// folded here: each contributes its cross-slot total to the
-    /// `counters` map under its own name (a plain counter with the
-    /// same name would be shadowed — don't register both).
+    /// Point-in-time snapshot of every metric.
     pub fn snapshot(&self) -> MetricsReport {
-        let mut counters: BTreeMap<String, u64> = self
+        let counters = self
             .counters
             .lock()
             .expect("registry poisoned")
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect();
-        for (k, v) in self.sharded.lock().expect("registry poisoned").iter() {
-            counters.insert(k.clone(), v.get());
-        }
         let gauges = self
             .gauges
             .lock()
@@ -522,25 +443,6 @@ mod tests {
         assert_eq!(snap.gauges["sim.rate"], 0.75);
         assert_eq!(snap.histograms["sim.batch"].count(), 1);
         assert_eq!(snap.histograms["sim.batch"].sum, 7);
-    }
-
-    #[test]
-    fn sharded_counters_fold_on_snapshot() {
-        let reg = Registry::new();
-        let c = reg.sharded_counter("exec.tasks", 4);
-        let c2 = reg.sharded_counter("exec.tasks", 99); // existing wins
-        assert_eq!(c2.shards(), 4);
-        c.inc(0);
-        c.add(1, 10);
-        c.add(3, 100);
-        c.add(7, 1); // wraps to slot 3
-        assert_eq!(c.slot(0), 1);
-        assert_eq!(c.slot(3), 101);
-        assert_eq!(c.get(), 112);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counters["exec.tasks"], 112);
-        // And the fold survives serialization like a plain counter.
-        assert!(snap.to_json().contains(r#""exec.tasks":112"#));
     }
 
     #[test]

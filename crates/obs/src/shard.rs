@@ -1,22 +1,21 @@
 //! Sharded, contention-free event recording for multi-threaded
 //! producers.
 //!
-//! The [`SharedRecorder`](crate::SharedRecorder) that PR 9's executor
-//! traces through serializes every worker on one mutex — the telemetry
-//! path contends on exactly the parallelism it is supposed to observe.
-//! [`ShardedRecorder`] removes that lock from the hot path: each
-//! producer thread owns one *shard* (a bounded buffer behind a mutex
-//! that only that producer and the drainer ever touch, on its own
-//! cache line), events are stamped with a per-shard sequence number as
-//! they land, and a drainer merge-sorts the shards into a single
-//! stream for the wrapped [`Recorder`].
+//! A pool that traced through one shared mutex would serialize every
+//! worker on it — the telemetry path would contend on exactly the
+//! parallelism it is supposed to observe. [`ShardedRecorder`] keeps
+//! that lock off the hot path: each producer thread owns one *shard*
+//! (a buffer behind a mutex that only that producer and the drainer
+//! ever touch, on its own cache line), events are stamped with a
+//! per-shard sequence number as they land, and a drainer merge-sorts
+//! the shards into a single stream for the wrapped [`Recorder`].
 //!
 //! # Ordering contract (`loadsteal.trace.v1`)
 //!
-//! The locked path timestamps *inside* the sink lock, which makes the
-//! emitted stream globally monotone in `t` by construction. The
-//! sharded path relaxes that to the contract documented in
-//! `docs/trace-schema.md` and `docs/telemetry.md`:
+//! Producers stamp `t` on their own thread, outside any shared lock,
+//! so the merge — not a lock — is what orders the stream. The
+//! contract documented in `docs/trace-schema.md` and
+//! `docs/telemetry.md`:
 //!
 //! * **per-shard order is preserved** — events from one shard appear
 //!   in the merged stream exactly in the order they were recorded
@@ -25,10 +24,8 @@
 //!   stamps non-decreasing timestamps into its own shard, which every
 //!   emitter in this codebase does (timestamps come from a monotone
 //!   clock read by the recording thread);
-//! * **the event multiset is exactly what was recorded** — shards are
-//!   bounded, but a full shard spills its buffer to an overflow list
-//!   (one extra lock acquisition per `capacity` events, amortized)
-//!   instead of dropping; nothing is ever lost.
+//! * **the event multiset is exactly what was recorded** — a shard's
+//!   buffer grows until the next drain takes it; nothing is dropped.
 //!
 //! Events without their own timestamp (heartbeats, replication
 //! summaries) inherit the last timestamp seen on their shard, so they
@@ -97,32 +94,19 @@ struct Shard {
 /// contract.
 pub struct ShardedRecorder<R> {
     shards: Vec<Shard>,
-    /// Overflow from full shards (appended wholesale, one lock per
-    /// `capacity` events).
-    spill: Mutex<Vec<Stamped>>,
     inner: Mutex<R>,
     enabled: bool,
-    capacity: usize,
     recorded: AtomicU64,
-    spilled: AtomicU64,
 }
 
 impl<R: Recorder + Send> ShardedRecorder<R> {
-    /// Default per-shard buffer capacity: large enough that even a
-    /// shard recording at full simulator rate spills rarely, small
-    /// enough (~56 bytes/event) that idle shards cost little.
-    pub const DEFAULT_CAPACITY: usize = 8 * 1024;
-
-    /// Wrap `inner` behind `shards` independent producer buffers of
-    /// `capacity` events each. The enabled gate is cached from
-    /// `inner.enabled()` here, exactly like
-    /// [`SharedRecorder`](crate::SharedRecorder) does.
-    pub fn new(inner: R, shards: usize, capacity: usize) -> Self {
-        let shards = shards.max(1);
-        let capacity = capacity.max(16);
+    /// Wrap `inner` behind `shards` independent producer buffers. The
+    /// enabled gate is cached from `inner.enabled()` here, so producers
+    /// never take a lock to learn that recording is off.
+    pub fn new(inner: R, shards: usize) -> Self {
         let enabled = inner.enabled();
         ShardedRecorder {
-            shards: (0..shards)
+            shards: (0..shards.max(1))
                 .map(|_| Shard {
                     buf: Mutex::new(ShardBuf {
                         seq: 0,
@@ -131,25 +115,17 @@ impl<R: Recorder + Send> ShardedRecorder<R> {
                     }),
                 })
                 .collect(),
-            spill: Mutex::new(Vec::new()),
             inner: Mutex::new(inner),
             enabled,
-            capacity,
             recorded: AtomicU64::new(0),
-            spilled: AtomicU64::new(0),
         }
-    }
-
-    /// Wrap with [`Self::DEFAULT_CAPACITY`].
-    pub fn with_shards(inner: R, shards: usize) -> Self {
-        Self::new(inner, shards, Self::DEFAULT_CAPACITY)
     }
 
     /// Run `f` against the wrapped recorder (e.g. to write a trace
     /// header before producers start). Takes the inner lock — not for
     /// the hot path.
     pub fn with<T>(&self, f: impl FnOnce(&mut R) -> T) -> T {
-        f(&mut self.inner.lock().unwrap())
+        f(&mut self.inner.lock().expect("inner recorder lock poisoned"))
     }
 
     /// Events recorded so far (including already-drained ones).
@@ -157,20 +133,13 @@ impl<R: Recorder + Send> ShardedRecorder<R> {
         self.recorded.load(Ordering::Relaxed)
     }
 
-    /// Events that overflowed a full shard into the spill list. None
-    /// of them were lost — this counts amortized slow-path traffic.
-    pub fn spilled(&self) -> u64 {
-        self.spilled.load(Ordering::Relaxed)
-    }
-
-    /// Events currently buffered (undraned). Approximate under
+    /// Events currently buffered (undrained). Approximate under
     /// concurrent recording.
     pub fn pending(&self) -> usize {
-        let mut n = self.spill.lock().unwrap().len();
-        for s in &self.shards {
-            n += s.buf.lock().unwrap().events.len();
-        }
-        n
+        self.shards
+            .iter()
+            .map(|s| s.buf.lock().expect("shard lock poisoned").events.len())
+            .sum()
     }
 
     /// Collect everything buffered, merge-sort by `(t, shard, seq)`,
@@ -180,20 +149,14 @@ impl<R: Recorder + Send> ShardedRecorder<R> {
     pub fn drain(&self) -> u64 {
         // Inner lock first: concurrent drains serialize here, so two
         // drained batches never interleave their forwarding.
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock().expect("inner recorder lock poisoned");
         let mut all = Vec::new();
         for s in &self.shards {
-            let mut b = s.buf.lock().unwrap();
-            all.append(&mut b.events);
+            // Swap the buffer out under the shard lock; the producer
+            // is held up for a pointer swap, not for the copy.
+            let mut taken = std::mem::take(&mut s.buf.lock().expect("shard lock poisoned").events);
+            all.append(&mut taken);
         }
-        // The spill list is swept strictly AFTER the shards: a
-        // producer moves a full buffer into the spill before recording
-        // that shard's next event, so any event captured from a shard
-        // buffer above already has every spilled predecessor in the
-        // spill list by now — sweeping in the other order can forward
-        // a later event one batch ahead of its predecessors and break
-        // the per-shard ordering contract.
-        all.extend(std::mem::take(&mut *self.spill.lock().unwrap()));
         all.sort_by(|a, b| {
             a.key
                 .total_cmp(&b.key)
@@ -211,7 +174,9 @@ impl<R: Recorder + Send> ShardedRecorder<R> {
     /// wrapped recorder back.
     pub fn finish(self) -> R {
         self.drain();
-        self.inner.into_inner().unwrap()
+        self.inner
+            .into_inner()
+            .expect("inner recorder lock poisoned")
     }
 }
 
@@ -225,8 +190,7 @@ impl<R: Recorder + Send> ShardSink for ShardedRecorder<R> {
             return;
         }
         let idx = shard % self.shards.len();
-        let s = &self.shards[idx];
-        let mut b = s.buf.lock().unwrap();
+        let mut b = self.shards[idx].buf.lock().expect("shard lock poisoned");
         let key = match event_time(ev) {
             Some(t) => {
                 b.last_key = t;
@@ -235,23 +199,14 @@ impl<R: Recorder + Send> ShardSink for ShardedRecorder<R> {
             None => b.last_key,
         };
         b.seq += 1;
-        let stamped = Stamped {
+        let seq = b.seq;
+        b.events.push(Stamped {
             key,
             shard: idx as u32,
-            seq: b.seq,
+            seq,
             ev: *ev,
-        };
-        b.events.push(stamped);
+        });
         self.recorded.fetch_add(1, Ordering::Relaxed);
-        if b.events.len() >= self.capacity {
-            let full = std::mem::replace(&mut b.events, Vec::with_capacity(self.capacity));
-            // Release the shard before touching the shared spill list:
-            // the producer pays one cross-shard lock per `capacity`
-            // events, and the drainer never blocks this shard on it.
-            drop(b);
-            self.spilled.fetch_add(full.len() as u64, Ordering::Relaxed);
-            self.spill.lock().unwrap().extend(full);
-        }
     }
 
     fn shards(&self) -> usize {
@@ -291,7 +246,7 @@ mod tests {
 
     #[test]
     fn merges_shards_into_time_order() {
-        let rec = ShardedRecorder::new(CollectingRecorder::new(), 3, 64);
+        let rec = ShardedRecorder::new(CollectingRecorder::new(), 3);
         // Interleave records across shards with increasing per-shard t.
         rec.record(0, &sim(0.1, 0));
         rec.record(1, &sim(0.05, 1));
@@ -313,7 +268,7 @@ mod tests {
 
     #[test]
     fn equal_timestamps_tiebreak_by_shard_then_seq() {
-        let rec = ShardedRecorder::new(CollectingRecorder::new(), 2, 64);
+        let rec = ShardedRecorder::new(CollectingRecorder::new(), 2);
         rec.record(1, &sim(1.0, 10));
         rec.record(0, &sim(1.0, 20));
         rec.record(1, &sim(1.0, 11));
@@ -331,28 +286,8 @@ mod tests {
     }
 
     #[test]
-    fn full_shard_spills_without_losing_events() {
-        let rec = ShardedRecorder::new(CollectingRecorder::new(), 1, 16);
-        for i in 0..100 {
-            rec.record(0, &sim(i as f64, 0));
-        }
-        assert!(rec.spilled() >= 16, "spill path must have triggered");
-        assert_eq!(rec.recorded(), 100);
-        let inner = rec.finish();
-        assert_eq!(inner.events().len(), 100);
-        // And the merge restored global time order across spills.
-        let mut last = f64::NEG_INFINITY;
-        for e in inner.events() {
-            if let Event::Sim { t, .. } = e {
-                assert!(*t >= last);
-                last = *t;
-            }
-        }
-    }
-
-    #[test]
     fn timestampless_events_inherit_shard_position() {
-        let rec = ShardedRecorder::new(CollectingRecorder::new(), 2, 64);
+        let rec = ShardedRecorder::new(CollectingRecorder::new(), 2);
         rec.record(0, &sim(1.0, 0));
         rec.record(
             0,
@@ -376,7 +311,7 @@ mod tests {
 
     #[test]
     fn disabled_inner_disables_the_whole_pipeline() {
-        let rec = ShardedRecorder::new(crate::recorder::NullRecorder, 4, 64);
+        let rec = ShardedRecorder::new(crate::recorder::NullRecorder, 4);
         assert!(!ShardSink::enabled(&rec));
         rec.record(0, &sim(1.0, 0));
         assert_eq!(rec.recorded(), 0);
@@ -385,7 +320,7 @@ mod tests {
 
     #[test]
     fn drain_is_incremental() {
-        let rec = ShardedRecorder::new(CollectingRecorder::new(), 2, 64);
+        let rec = ShardedRecorder::new(CollectingRecorder::new(), 2);
         rec.record(0, &sim(1.0, 0));
         assert_eq!(rec.drain(), 1);
         rec.record(1, &sim(2.0, 1));
@@ -397,7 +332,7 @@ mod tests {
 
     #[test]
     fn shard_indices_wrap() {
-        let rec = ShardedRecorder::new(CollectingRecorder::new(), 2, 64);
+        let rec = ShardedRecorder::new(CollectingRecorder::new(), 2);
         rec.record(7, &sim(1.0, 0)); // lands on shard 7 % 2 == 1
         assert_eq!(rec.shards(), 2);
         assert_eq!(rec.recorded(), 1);

@@ -109,7 +109,7 @@ fn sorted_lines(events: &[Event]) -> Vec<String> {
 fn hammered_sharded_recorder_matches_locked_recorder_bit_for_bit() {
     for seed in [1u64, 42, 0xDEAD_BEEF] {
         // Sharded path, with a concurrent drainer racing the writers.
-        let sharded = ShardedRecorder::with_shards(CollectingRecorder::new(), THREADS);
+        let sharded = ShardedRecorder::new(CollectingRecorder::new(), THREADS);
         let stop = AtomicBool::new(false);
         std::thread::scope(|scope| {
             let sink = &sharded;

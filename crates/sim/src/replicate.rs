@@ -4,10 +4,20 @@
 //! each". Replications are independent given distinct seeds, so they run
 //! on the rayon thread pool and are reduced with run-level statistics
 //! (mean of run means plus a confidence interval over runs).
+//!
+//! Recorded replications ([`replicate_recorded`]) run in parallel too.
+//! Each run buffers its events privately and hands them to the caller's
+//! recorder 4096 at a time under one mutex, so runs contend once per
+//! batch rather than once per event. A run's events keep their
+//! order; concurrent runs interleave batch by batch. While the flight
+//! recorder is armed, events go straight through unbuffered, so a
+//! crash dump still ends at the last event before the panic.
+
+use std::sync::Mutex;
 
 use rayon::prelude::*;
 
-use loadsteal_obs::{Event as ObsEvent, Recorder, SharedRecorder};
+use loadsteal_obs::{flight, Event as ObsEvent, Recorder};
 use loadsteal_queueing::{ConfidenceInterval, OnlineStats};
 
 use crate::config::SimConfig;
@@ -95,13 +105,14 @@ pub fn replicate(cfg: &SimConfig, runs: usize, base_seed: u64) -> ReplicateResul
 }
 
 /// [`replicate`] with every run's events — and one `replicate_done`
-/// throughput summary per run — funneled into a shared recorder.
+/// throughput summary per run — handed to `rec`.
 ///
-/// Runs still execute in parallel; the [`SharedRecorder`] serializes
-/// sink access, so an NDJSON trace of a multi-run batch interleaves
-/// events from concurrent runs (each tagged by wall order, not seed).
-/// When the underlying recorder is disabled the engines skip event
-/// construction exactly as in [`replicate`].
+/// Runs still execute in parallel. Each hands its events over in
+/// batches (see the module docs), so an NDJSON trace of a multi-run
+/// batch interleaves the runs batch by batch, in wall order, not seed
+/// order; within a run the order is the run's own. When `rec` is
+/// disabled the engines skip event construction exactly as in
+/// [`replicate`].
 ///
 /// # Panics
 /// Panics if `runs == 0` or the configuration is invalid.
@@ -109,31 +120,90 @@ pub fn replicate_recorded<R: Recorder + Send>(
     cfg: &SimConfig,
     runs: usize,
     base_seed: u64,
-    rec: &SharedRecorder<R>,
+    rec: &mut R,
 ) -> ReplicateResult {
     assert!(runs > 0, "need at least one replication");
     cfg.validate()
         .unwrap_or_else(|e| panic!("invalid simulation config: {e}"));
+    let enabled = rec.enabled();
+    let sink = Mutex::new(rec);
     let results: Vec<SimResult> = (0..runs as u64)
         .into_par_iter()
         .map(|i| {
             let _span = loadsteal_obs::span::span("sim.replicate");
             let seed = base_seed.wrapping_add(i);
-            let mut handle = rec.clone();
-            let mut r = run_recorded(cfg, seed, &mut handle);
+            let mut batch = RunBatch::new(&sink, enabled);
+            let mut r = run_recorded(cfg, seed, &mut batch);
             r.seed = seed;
-            if handle.enabled() {
-                handle.record(&ObsEvent::ReplicateDone {
+            if enabled {
+                batch.record(&ObsEvent::ReplicateDone {
                     seed,
                     wall_ms: r.wall_ms,
                     events: r.events_processed,
                     events_per_sec: r.events_per_sec(),
                 });
+                batch.hand_over(false);
             }
             r
         })
         .collect();
     aggregate(results)
+}
+
+/// Events a run buffers before it hands them to the shared recorder.
+const BATCH: usize = 4096;
+
+/// One run's private front end to the recorder shared by all runs of
+/// a [`replicate_recorded`] call.
+struct RunBatch<'a, 'r, R> {
+    sink: &'a Mutex<&'r mut R>,
+    /// `rec.enabled()`, sampled once before the runs start.
+    enabled: bool,
+    buf: Vec<ObsEvent>,
+}
+
+impl<'a, 'r, R: Recorder> RunBatch<'a, 'r, R> {
+    fn new(sink: &'a Mutex<&'r mut R>, enabled: bool) -> Self {
+        RunBatch {
+            sink,
+            enabled,
+            buf: Vec::new(),
+        }
+    }
+
+    /// Hand every buffered event to the shared recorder under one lock,
+    /// then flush it if asked.
+    fn hand_over(&mut self, flush: bool) {
+        if self.buf.is_empty() && !flush {
+            return;
+        }
+        let mut rec = self.sink.lock().expect("recorder mutex poisoned");
+        for ev in self.buf.drain(..) {
+            rec.record(&ev);
+        }
+        if flush {
+            rec.flush();
+        }
+    }
+}
+
+impl<R: Recorder> Recorder for RunBatch<'_, '_, R> {
+    fn enabled(&self) -> bool {
+        self.enabled
+    }
+
+    fn record(&mut self, ev: &ObsEvent) {
+        self.buf.push(*ev);
+        // An armed flight recorder sees each event as it happens, so a
+        // crash dump ends at the last event before the panic.
+        if self.buf.len() >= BATCH || flight::active() {
+            self.hand_over(false);
+        }
+    }
+
+    fn flush(&mut self) {
+        self.hand_over(true);
+    }
 }
 
 fn aggregate(results: Vec<SimResult>) -> ReplicateResult {
@@ -277,14 +347,14 @@ mod tests {
     fn recorded_replication_counts_events_and_matches_plain() {
         use loadsteal_obs::CountingRecorder;
         let cfg = quick_cfg();
-        let shared = SharedRecorder::new(CountingRecorder::new());
-        let rec = replicate_recorded(&cfg, 2, 7, &shared);
+        let mut counting = CountingRecorder::new();
+        let rec = replicate_recorded(&cfg, 2, 7, &mut counting);
         let plain = replicate(&cfg, 2, 7);
         // Instrumentation must not perturb the simulation itself.
         assert_eq!(rec.mean_sojourn(), plain.mean_sojourn());
         assert_eq!(rec.runs[0].seed, 7);
         assert_eq!(rec.runs[1].seed, 8);
-        let counts = shared.with(|r| r.counts());
+        let counts = counting.counts();
         assert_eq!(counts.replicates, 2);
         let arrived: u64 = rec.runs.iter().map(|r| r.tasks_arrived).sum();
         let completed: u64 = rec.runs.iter().map(|r| r.tasks_completed).sum();
@@ -298,9 +368,79 @@ mod tests {
     #[test]
     fn disabled_recorder_sees_nothing() {
         use loadsteal_obs::NullRecorder;
-        let shared = SharedRecorder::new(NullRecorder);
-        let r = replicate_recorded(&quick_cfg(), 1, 3, &shared);
+        let r = replicate_recorded(&quick_cfg(), 1, 3, &mut NullRecorder);
         assert!(r.runs[0].events_processed > 0);
+    }
+
+    /// Runs hand over whole batches, so the merged stream splits back
+    /// into each seed's own `run_recorded` stream, in order, with every
+    /// seed's `replicate_done` after that seed's last event.
+    #[test]
+    fn recorded_runs_interleave_without_reordering() {
+        use loadsteal_obs::CollectingRecorder;
+        let cfg = quick_cfg();
+        let seeds = [21u64, 22, 23];
+        let expected: Vec<Vec<ObsEvent>> = seeds
+            .iter()
+            .map(|&seed| {
+                let mut rec = CollectingRecorder::new();
+                run_recorded(&cfg, seed, &mut rec);
+                rec.into_events()
+            })
+            .collect();
+        for stream in &expected {
+            assert!(stream.len() > 4 * BATCH, "each run must span many batches");
+        }
+        let mut merged = CollectingRecorder::new();
+        replicate_recorded(&cfg, seeds.len(), seeds[0], &mut merged);
+        let mut next = [0usize; 3];
+        let mut done = [false; 3];
+        for ev in merged.events() {
+            if let ObsEvent::ReplicateDone { seed, .. } = ev {
+                let k = seeds.iter().position(|s| s == seed).expect("known seed");
+                assert_eq!(next[k], expected[k].len(), "seed {seed} done early");
+                assert!(!done[k], "seed {seed} done twice");
+                done[k] = true;
+                continue;
+            }
+            let k = (0..seeds.len())
+                .find(|&k| !done[k] && expected[k].get(next[k]) == Some(ev))
+                .unwrap_or_else(|| panic!("{ev:?} is no seed's next event"));
+            next[k] += 1;
+        }
+        assert_eq!(done, [true; 3]);
+        for k in 0..seeds.len() {
+            assert_eq!(next[k], expected[k].len(), "seed {} lost events", seeds[k]);
+        }
+    }
+
+    /// While the flight recorder is armed each event reaches the shared
+    /// recorder at once; disarmed, it waits in the run's batch.
+    #[test]
+    fn armed_flight_recorder_bypasses_the_batch() {
+        use loadsteal_obs::CollectingRecorder;
+        let ev = ObsEvent::Heartbeat {
+            t: 1.0,
+            events: 1,
+            tasks_in_system: 0,
+        };
+        let mut sink = CollectingRecorder::new();
+        let shared = Mutex::new(&mut sink);
+        let mut batch = RunBatch::new(&shared, true);
+        // Arming is process-global: the other tests here pass in either
+        // mode, and a concurrent test's panic must not drop a crash
+        // dump into the crate directory.
+        flight::set_dump_dir(Some(std::env::temp_dir().to_string_lossy().into_owned()));
+        flight::install(16);
+        batch.record(&ev);
+        let armed = shared.lock().unwrap().events().len();
+        flight::disarm();
+        batch.record(&ev);
+        let disarmed = shared.lock().unwrap().events().len();
+        assert_eq!(armed, 1, "armed: the event must reach the sink at once");
+        assert_eq!(disarmed, 1, "disarmed: the event must stay buffered");
+        batch.hand_over(false);
+        assert_eq!(shared.lock().unwrap().events().len(), 2);
     }
 
     #[test]

@@ -70,6 +70,12 @@ pub fn render_report(tl: &Timeline, pred: Option<&MeanFieldPrediction>) -> Strin
     if tl.replicates > 0 {
         out.push_str(&format!("  replicates          {:>8}\n", tl.replicates));
     }
+    if tl.replicates > 1 {
+        out.push_str(&format!(
+            "  WARNING: trace holds {} runs — the statistics below pool them on one clock, so rates and occupancies are not any single run's; record with --runs 1\n",
+            tl.replicates
+        ));
+    }
     if tl.depth_underflows > 0 {
         out.push_str(&format!(
             "  WARNING: {} queue-depth underflows — trace is truncated or interleaves multiple runs; per-processor statistics are unreliable\n",
@@ -332,5 +338,20 @@ mod tests {
         let tl = Timeline::build(&events, &TimelineConfig::default());
         let r = render_report(&tl, None);
         assert!(r.contains("WARNING"), "{r}");
+    }
+
+    #[test]
+    fn multi_run_warning_appears() {
+        let done = |seed| Event::ReplicateDone {
+            seed,
+            wall_ms: 1.0,
+            events: 1,
+            events_per_sec: 1.0,
+        };
+        let one = Timeline::build(&[done(1)], &TimelineConfig::default());
+        assert!(!render_report(&one, None).contains("WARNING"));
+        let two = Timeline::build(&[done(1), done(2)], &TimelineConfig::default());
+        let r = render_report(&two, None);
+        assert!(r.contains("WARNING") && r.contains("--runs 1"), "{r}");
     }
 }

@@ -7,9 +7,11 @@
 //! ([`loadsteal_exec::stealbench`]) with the per-processor
 //! Poisson(λ)/Exp(1) workload at λ = 0.9 under the
 //! one-steal-per-idle-transition policy, captures the pool's
-//! `loadsteal.trace.v1` event stream, reconstructs queue occupancies
-//! with the same [`loadsteal_trace::Timeline`] replay the simulator
-//! traces go through, and requires:
+//! `loadsteal.trace.v1` event stream through the
+//! [`loadsteal_obs::ShardedRecorder`] path that `loadsteal stealbench`
+//! ships, reconstructs queue occupancies with the same
+//! [`loadsteal_trace::Timeline`] replay the simulator traces go
+//! through, and requires:
 //!
 //! * **trace consistency** — the measured trace replays into a single
 //!   coherent run: no queue-depth underflows, every migration carries
@@ -32,11 +34,11 @@
 //! The measurements are wall-clock timed, so these checks are marked
 //! [`Check::serial`] and a run's data is captured once and shared.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use loadsteal_core::ModelSpec;
 use loadsteal_exec::stealbench::{run_once, StealBenchConfig, StealBenchOutcome};
-use loadsteal_obs::{CollectingRecorder, Recorder};
+use loadsteal_obs::{CollectingRecorder, ShardSink, ShardedRecorder};
 use loadsteal_queueing::OnlineStats;
 use loadsteal_trace::{Timeline, TimelineConfig};
 
@@ -87,9 +89,15 @@ pub fn measure(runs: usize, base_seed: u64, horizon: f64) -> Result<Vec<Measured
             tau: TAU,
             seed: base_seed.wrapping_add(i),
         };
-        let sink: Arc<Mutex<CollectingRecorder>> = Arc::new(Mutex::new(CollectingRecorder::new()));
-        let out = run_once(&cfg, Arc::clone(&sink) as Arc<Mutex<dyn Recorder + Send>>)?;
-        let events = sink.lock().unwrap().events().to_vec();
+        // The sharded path `loadsteal stealbench` ships: one shard per
+        // worker plus one for the submitting thread, merged back into t
+        // order on finish.
+        let sink = Arc::new(ShardedRecorder::new(CollectingRecorder::new(), WORKERS + 1));
+        let out = run_once(&cfg, Arc::clone(&sink) as Arc<dyn ShardSink>)?;
+        let events = Arc::try_unwrap(sink)
+            .map_err(|_| "trace sink still shared after pool shutdown".to_string())?
+            .finish()
+            .into_events();
         let tl = Timeline::build(
             &events,
             &TimelineConfig {

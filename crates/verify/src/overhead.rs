@@ -7,17 +7,18 @@
 //!
 //! * **sharded-vs-locked equivalence** — a deterministic multi-thread
 //!   synthetic stream recorded through the sharded path
-//!   ([`loadsteal_obs::ShardedRecorder`]) and the locked path
-//!   ([`loadsteal_obs::SharedRecorder`]-style mutex) must serialize to
-//!   bit-for-bit identical event multisets, and the merged sharded
-//!   stream must preserve each shard's emission order and be globally
-//!   nondecreasing in `t` (the ordering contract in
-//!   `docs/trace-schema.md`);
+//!   ([`loadsteal_obs::ShardedRecorder`]) and through a locked
+//!   reference sink (one mutex for every producer, private to this
+//!   module) must serialize to bit-for-bit identical event multisets,
+//!   and the merged sharded stream must preserve each shard's emission
+//!   order and be globally nondecreasing in `t` (the ordering contract
+//!   in `docs/trace-schema.md`);
 //! * **pinned-seed stealbench equivalence** — the executor bench run
-//!   once with the locked tracer and once with the sharded tracer on
-//!   the same seed must submit the same jobs, trace the same arrival
-//!   sequence (the driver's plan is seed-deterministic), and account
-//!   for every completion its pool counters report, in both runs;
+//!   once into the locked reference sink and once into the sharded
+//!   recorder on the same seed must submit the same jobs, trace the
+//!   same arrival sequence (the arrival plan is seed-deterministic),
+//!   and account for every completion its pool counters report, in
+//!   both runs;
 //! * **tracing overhead budget** — full tracing on the simulator bench
 //!   (every event serialized to NDJSON) must cost at most
 //!   [`OVERHEAD_BUDGET`] × the untraced run. The sharded/batched
@@ -33,7 +34,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use loadsteal_core::ModelSpec;
-use loadsteal_exec::stealbench::{run_once, run_once_sharded, StealBenchConfig};
+use loadsteal_exec::stealbench::{run_once, StealBenchConfig};
 use loadsteal_obs::{
     CollectingRecorder, Event, NdjsonRecorder, Recorder, ShardSink, ShardedRecorder, SimEventKind,
 };
@@ -43,11 +44,12 @@ use crate::harness::{Check, Outcome, Settings, Tier};
 
 /// Maximum allowed wall-clock ratio of a fully traced simulator run
 /// (every event serialized to NDJSON) over the untraced run. Measured
-/// ratios on CI-class hardware sit near 7× (the engine simulates
-/// ≈ 13 M events/s untraced; JSON formatting caps the traced path
-/// near 2 M events/s); the budget leaves headroom for slow shared
-/// runners while still catching a reintroduced per-event sink lock or
-/// an unbatched write path, which cost several× more on top.
+/// ratios on a 2-vCPU Xeon host read 6.1–9.2× (the engine simulates
+/// ≈ 17 M events/s untraced; JSON formatting caps the traced path
+/// near 2 M events/s — see `docs/telemetry.md`); the budget leaves
+/// headroom for slow shared runners while still catching a
+/// reintroduced per-event sink lock or an unbatched write path, which
+/// cost several× more on top.
 pub const OVERHEAD_BUDGET: f64 = 12.0;
 
 /// Threads hammering the recorder in the synthetic equivalence check.
@@ -55,6 +57,38 @@ const SYN_THREADS: usize = 8;
 
 /// Events emitted per thread in the synthetic stream.
 const SYN_EVENTS: usize = 4_000;
+
+/// The reference the sharded path is checked against: every producer
+/// records through one mutex, so events land in the order the lock
+/// admits them, whatever shard they name.
+struct LockedSink(Mutex<CollectingRecorder>);
+
+impl LockedSink {
+    fn new() -> Self {
+        LockedSink(Mutex::new(CollectingRecorder::new()))
+    }
+
+    fn into_events(self) -> Vec<Event> {
+        self.0
+            .into_inner()
+            .expect("locked sink poisoned")
+            .into_events()
+    }
+}
+
+impl ShardSink for LockedSink {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn record(&self, _shard: usize, ev: &Event) {
+        self.0.lock().expect("locked sink poisoned").record(ev);
+    }
+
+    fn shards(&self) -> usize {
+        usize::MAX
+    }
+}
 
 /// The deterministic event stream thread `shard` emits: `count` is a
 /// 1-based per-shard sequence stamp (so order survives serialization)
@@ -95,14 +129,14 @@ fn hammer(record: impl Fn(usize, &Event) + Sync) {
 /// serialized multisets, per-shard order preserved after the merge,
 /// global `t` order nondecreasing.
 fn equivalence_check() -> Outcome {
-    let sharded = ShardedRecorder::with_shards(CollectingRecorder::new(), SYN_THREADS);
+    let sharded = ShardedRecorder::new(CollectingRecorder::new(), SYN_THREADS);
     hammer(|shard, ev| sharded.record(shard, ev));
     let total = sharded.recorded();
     let merged = sharded.finish().into_events();
 
-    let locked = Mutex::new(CollectingRecorder::new());
-    hammer(|_, ev| locked.lock().unwrap().record(ev));
-    let interleaved = locked.into_inner().unwrap().into_events();
+    let locked = LockedSink::new();
+    hammer(|shard, ev| locked.record(shard, ev));
+    let interleaved = locked.into_events();
 
     let expected = (SYN_THREADS * SYN_EVENTS) as u64;
     if total != expected || merged.len() as u64 != expected {
@@ -163,7 +197,7 @@ fn bench_cfg(seed: u64) -> StealBenchConfig {
 }
 
 /// The arrival `proc` sequence of a trace, in stream order. Both
-/// tracer paths must reproduce the driver's seed-deterministic
+/// sinks must reproduce the bench's seed-deterministic
 /// submission plan exactly.
 fn arrival_procs(events: &[Event]) -> Vec<u32> {
     events
@@ -179,26 +213,25 @@ fn arrival_procs(events: &[Event]) -> Vec<u32> {
         .collect()
 }
 
-/// Pinned-seed equivalence of the two executor tracer paths.
+/// Pinned-seed equivalence of the executor bench traced into the
+/// locked reference sink and into the sharded recorder.
 fn stealbench_check(settings: &Settings) -> Outcome {
     let cfg = bench_cfg(settings.seed ^ 0x0B5E_C0DE);
-    let locked_sink: Arc<Mutex<CollectingRecorder>> =
-        Arc::new(Mutex::new(CollectingRecorder::new()));
-    let locked_out = match run_once(
-        &cfg,
-        Arc::clone(&locked_sink) as Arc<Mutex<dyn Recorder + Send>>,
-    ) {
+    let locked_sink = Arc::new(LockedSink::new());
+    let locked_out = match run_once(&cfg, Arc::clone(&locked_sink) as Arc<dyn ShardSink>) {
         Ok(o) => o,
         Err(e) => return Outcome::Fail(format!("locked run failed: {e}")),
     };
-    let locked_events = locked_sink.lock().unwrap().events().to_vec();
+    let locked_events = match Arc::try_unwrap(locked_sink) {
+        Ok(s) => s.into_events(),
+        Err(_) => return Outcome::Fail("locked sink still shared after shutdown".into()),
+    };
 
-    let sharded_sink = Arc::new(ShardedRecorder::with_shards(
+    let sharded_sink = Arc::new(ShardedRecorder::new(
         CollectingRecorder::new(),
         cfg.workers + 1,
     ));
-    let sharded_out = match run_once_sharded(&cfg, Arc::clone(&sharded_sink) as Arc<dyn ShardSink>)
-    {
+    let sharded_out = match run_once(&cfg, Arc::clone(&sharded_sink) as Arc<dyn ShardSink>) {
         Ok(o) => o,
         Err(e) => return Outcome::Fail(format!("sharded run failed: {e}")),
     };
