@@ -13,35 +13,20 @@ pub struct Args {
 
 impl Args {
     /// Parse flags from an iterator of raw arguments (after the
-    /// subcommand). `--flag value` and `--flag=value` are both accepted.
-    #[cfg_attr(not(test), allow(dead_code))] // switch-free entry point, exercised by tests
-    pub fn parse(raw: impl Iterator<Item = String>) -> Result<Self, String> {
-        Self::parse_with_switches(raw, &[])
-    }
-
-    /// [`Self::parse`], but the named flags are value-less boolean
-    /// switches (`--quiet`): present or absent, never consuming the
-    /// following argument. Positional arguments are rejected.
-    pub fn parse_with_switches(
-        raw: impl Iterator<Item = String>,
-        switch_names: &[&str],
-    ) -> Result<Self, String> {
-        let a = Self::parse_mixed(raw, switch_names)?;
-        a.ensure_no_positionals()?;
-        Ok(a)
-    }
-
-    /// [`Self::parse_with_switches`], but bare (non-`--`) arguments are
-    /// collected as positionals instead of rejected — for commands like
-    /// `report <trace.ndjson>` that take a file operand.
-    pub fn parse_mixed(
-        raw: impl Iterator<Item = String>,
+    /// subcommand). `--flag value` and `--flag=value` are both accepted;
+    /// the named `switch_names` are value-less boolean switches
+    /// (`--quiet`): present or absent, never consuming the following
+    /// argument. Bare (non-`--`) arguments are collected as positionals,
+    /// for commands like `report <trace.ndjson>` that take a file
+    /// operand; the others reject them with
+    /// [`Self::ensure_no_positionals`].
+    pub fn parse(
+        mut raw: impl Iterator<Item = String>,
         switch_names: &[&str],
     ) -> Result<Self, String> {
         let mut flags = BTreeMap::new();
         let mut switches = Vec::new();
         let mut positionals = Vec::new();
-        let mut raw = raw.peekable();
         while let Some(arg) = raw.next() {
             let Some(name) = arg.strip_prefix("--") else {
                 positionals.push(arg);
@@ -147,54 +132,51 @@ impl Args {
 mod tests {
     use super::*;
 
-    fn parse(parts: &[&str]) -> Args {
-        Args::parse(parts.iter().map(|s| s.to_string())).unwrap()
+    fn parse(parts: &[&str], switches: &[&str]) -> Result<Args, String> {
+        Args::parse(parts.iter().map(|s| s.to_string()), switches)
     }
 
     #[test]
     fn parses_separate_and_equals_forms() {
-        let a = parse(&["--lambda", "0.9", "--threshold=4"]);
+        let a = parse(&["--lambda", "0.9", "--threshold=4"], &[]).unwrap();
         assert_eq!(a.required::<f64>("lambda").unwrap(), 0.9);
         assert_eq!(a.required::<usize>("threshold").unwrap(), 4);
     }
 
     #[test]
     fn defaults_apply() {
-        let a = parse(&["--lambda", "0.5"]);
+        let a = parse(&["--lambda", "0.5"], &[]).unwrap();
         assert_eq!(a.get_or("runs", 3usize).unwrap(), 3);
     }
 
     #[test]
     fn missing_value_is_an_error() {
-        assert!(Args::parse(["--lambda".to_string()].into_iter()).is_err());
+        assert!(parse(&["--lambda"], &[]).is_err());
     }
 
     #[test]
     fn positional_arguments_are_rejected() {
-        assert!(Args::parse(["oops".to_string()].into_iter()).is_err());
+        let a = parse(&["oops"], &[]).unwrap();
+        assert!(a.ensure_no_positionals().is_err());
     }
 
     #[test]
     fn unknown_flags_are_caught() {
-        let a = parse(&["--lambda", "0.5", "--tresh", "2"]);
+        let a = parse(&["--lambda", "0.5", "--tresh", "2"], &[]).unwrap();
         assert!(a.ensure_known(&["lambda", "threshold"]).is_err());
         assert!(a.ensure_known(&["lambda", "tresh"]).is_ok());
     }
 
     #[test]
     fn bad_parse_reports_flag_name() {
-        let a = parse(&["--lambda", "abc"]);
+        let a = parse(&["--lambda", "abc"], &[]).unwrap();
         let err = a.required::<f64>("lambda").unwrap_err();
         assert!(err.contains("lambda"));
     }
 
     #[test]
     fn switches_do_not_consume_values() {
-        let a = Args::parse_with_switches(
-            ["--quiet", "--lambda", "0.9"].iter().map(|s| s.to_string()),
-            &["quiet"],
-        )
-        .unwrap();
+        let a = parse(&["--quiet", "--lambda", "0.9"], &["quiet"]).unwrap();
         assert!(a.switch("quiet"));
         assert_eq!(a.required::<f64>("lambda").unwrap(), 0.9);
         assert!(!a.switch("verbose"));
@@ -202,23 +184,13 @@ mod tests {
 
     #[test]
     fn trailing_switch_is_not_a_missing_value() {
-        let a = Args::parse_with_switches(
-            ["--lambda", "0.9", "--quiet"].iter().map(|s| s.to_string()),
-            &["quiet"],
-        )
-        .unwrap();
+        let a = parse(&["--lambda", "0.9", "--quiet"], &["quiet"]).unwrap();
         assert!(a.switch("quiet"));
     }
 
     #[test]
     fn mixed_parsing_collects_positionals() {
-        let a = Args::parse_mixed(
-            ["trace.ndjson", "--warmup", "50", "--lossy"]
-                .iter()
-                .map(|s| s.to_string()),
-            &["lossy"],
-        )
-        .unwrap();
+        let a = parse(&["trace.ndjson", "--warmup", "50", "--lossy"], &["lossy"]).unwrap();
         assert_eq!(a.positional(0), Some("trace.ndjson"));
         assert_eq!(a.positional(1), None);
         assert!(a.switch("lossy"));
@@ -230,6 +202,6 @@ mod tests {
     fn undeclared_switch_still_needs_a_value() {
         // Without the declaration, `--quiet` is a valued flag and a
         // trailing one is an error — the seed behaviour is preserved.
-        assert!(Args::parse(["--quiet".to_string()].into_iter()).is_err());
+        assert!(parse(&["--quiet"], &[]).is_err());
     }
 }

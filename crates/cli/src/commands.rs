@@ -107,8 +107,8 @@ fn read_trace<'a>(a: &'a Args, cmd: &str, usage: &str) -> Result<(&'a str, Parse
 /// The flags [`stealbench_config`] reads.
 pub(crate) const STEALBENCH_FLAGS: &[&str] = &["workers", "lambda", "horizon", "tau-ms", "seed"];
 
-/// The real-pool workload shared by `stealbench`, `serve --stealbench`
-/// and `top`: 16 workers at λ = 0.9 for 400 model units of τ = 4 ms.
+/// The real-pool workload shared by `stealbench` and `top`: 16 workers
+/// at λ = 0.9 for 400 model units of τ = 4 ms.
 pub(crate) fn stealbench_config(a: &Args) -> Result<StealBenchConfig, String> {
     let cfg = StealBenchConfig {
         workers: a.get_or("workers", 16)?,
@@ -986,18 +986,10 @@ pub fn verify(a: &Args) -> Result<(), String> {
 }
 
 /// `loadsteal serve` — run a simulation while exposing its live metrics
-/// registry as a Prometheus scrape endpoint.
-///
-/// Minimal by design: a `std::net::TcpListener`, one request per
-/// connection, text exposition format 0.0.4. With `--scrapes N` the
+/// registry as a Prometheus scrape endpoint. With `--scrapes N` the
 /// process exits after serving N requests (the workload is abandoned if
 /// still running); otherwise it serves until the simulation finishes.
 pub fn serve(a: &Args) -> Result<(), String> {
-    // `serve --stealbench` swaps the simulator workload for the real
-    // work-stealing pool and exposes its per-worker gauges.
-    if a.switch("stealbench") {
-        return serve_stealbench(a);
-    }
     let mut known = SIM_FLAGS.to_vec();
     known.extend_from_slice(&["prom-addr", "scrapes"]);
     a.ensure_known(&known)?;
@@ -1051,7 +1043,7 @@ pub fn serve(a: &Args) -> Result<(), String> {
         })
     };
 
-    serve_metrics(addr, scrapes, &registry, || {}, || worker.is_finished())?;
+    serve_metrics(addr, scrapes, &registry, || worker.is_finished())?;
     if worker.is_finished() {
         worker
             .join()
@@ -1060,82 +1052,16 @@ pub fn serve(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `loadsteal serve --stealbench` — drive the real work-stealing pool
-/// (the `stealbench` workload) while serving its live per-worker
-/// gauges: `exec.worker.<i>.deque_depth/inbox_depth/steals/parks/…`
-/// refreshed on every scrape, plus an `exec.steals` counter of the
-/// pool's total steal hits.
-fn serve_stealbench(a: &Args) -> Result<(), String> {
-    use std::sync::Arc;
-
-    a.ensure_known(&[STEALBENCH_FLAGS, &["prom-addr", "scrapes"]].concat())?;
-    let addr = a.raw("prom-addr").unwrap_or("127.0.0.1:9464");
-    let scrapes: u64 = a.get_or("scrapes", 0)?;
-    let cfg = stealbench_config(a)?;
-    let registry = std::sync::Arc::new(Registry::new());
-    let bench = Arc::new(StealBench::new_untraced(&cfg)?);
-    let driver = {
-        let bench = Arc::clone(&bench);
-        std::thread::spawn(move || bench.drive())
-    };
-
-    // Steal totals: the refresh below is the counter's only writer,
-    // adding each worker's new steals since the previous scrape.
-    let steals = registry.counter("exec.steals");
-    let mut prev_steals = vec![0u64; cfg.workers];
-    let refresh_bench = Arc::clone(&bench);
-    let refresh_registry = std::sync::Arc::clone(&registry);
-    let refresh = move || {
-        let per = refresh_bench.pool().worker_stats();
-        for (i, w) in per.iter().enumerate() {
-            let delta = w.steal_successes.saturating_sub(prev_steals[i]);
-            if delta > 0 {
-                steals.add(delta);
-                prev_steals[i] = w.steal_successes;
-            }
-        }
-        export_worker_gauges(&refresh_registry, &per);
-        refresh_registry
-            .gauge("exec.submitted")
-            .set(refresh_bench.submitted_so_far() as f64);
-        let stats = refresh_bench.pool().stats();
-        refresh_registry
-            .gauge("exec.completed")
-            .set(stats.executed as f64);
-    };
-
-    serve_metrics(addr, scrapes, &registry, refresh, || driver.is_finished())?;
-    if driver.is_finished() {
-        driver
-            .join()
-            .map_err(|_| "stealbench driver panicked".to_string())?;
-        if let Ok(bench) = Arc::try_unwrap(bench) {
-            let (outcome, _) = bench.finish_detailed();
-            let out = Narrator::new(false);
-            say!(
-                out,
-                "stealbench: {} submitted, {} completed, {} steal hits / {} probes",
-                outcome.submitted,
-                outcome.completed,
-                outcome.stats.steal_successes,
-                outcome.stats.steal_attempts
-            );
-        }
-    }
-    Ok(())
-}
-
-/// The shared scrape loop behind `loadsteal serve`: bind, announce the
-/// bound address on stdout (the machine-readable contract line), then
-/// answer every GET with the registry in Prometheus text format.
-/// `refresh` runs before each snapshot (live-gauge updates); the loop
-/// ends after `scrapes` requests, or — when `scrapes` is 0 — once
-/// `done` reports the workload finished.
+/// The scrape loop behind `loadsteal serve`, minimal by design: bind a
+/// `std::net::TcpListener`, announce the bound address on stdout (the
+/// machine-readable contract line), then answer every GET, one request
+/// per connection, with the registry in Prometheus text format 0.0.4.
+/// It ends after `scrapes` requests, or once `done()` when `scrapes`
+/// is 0.
 fn serve_metrics(
     addr: &str,
     scrapes: u64,
     registry: &Registry,
-    mut refresh: impl FnMut(),
     done: impl Fn() -> bool,
 ) -> Result<(), String> {
     use std::io::{Read as _, Write as _};
@@ -1177,7 +1103,6 @@ fn serve_metrics(
                         break;
                     }
                 }
-                refresh();
                 let body = prometheus_text(&registry.snapshot(), "loadsteal");
                 let resp = format!(
                     "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
@@ -1204,9 +1129,9 @@ fn serve_metrics(
 }
 
 /// Mirror a per-worker executor snapshot into `exec.worker.<i>.*`
-/// gauges (deque/inbox depth, steals, parks, …) — the rows behind
-/// `loadsteal top` and the `serve --stealbench` Prometheus exposition.
-pub(crate) fn export_worker_gauges(reg: &Registry, per_worker: &[loadsteal_exec::WorkerStats]) {
+/// gauges (deque/inbox depth, steals, parks, …) — the per-worker rows
+/// of the `stealbench --metrics-json` run document.
+fn export_worker_gauges(reg: &Registry, per_worker: &[loadsteal_exec::WorkerStats]) {
     for (i, w) in per_worker.iter().enumerate() {
         reg.gauge(&format!("exec.worker.{i}.deque_depth"))
             .set(w.queue_depth as f64);

@@ -25,7 +25,6 @@ const SWITCHES: &[&str] = &[
     "full",
     "flight-recorder",
     "trace-jobs",
-    "stealbench",
     "once",
 ];
 
@@ -54,7 +53,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    let mut parsed = match args::Args::parse_mixed(argv, SWITCHES).and_then(|a| {
+    let mut parsed = match args::Args::parse(argv, SWITCHES).and_then(|a| {
         if !POSITIONAL_COMMANDS.contains(&cmd.as_str()) {
             a.ensure_no_positionals()?;
         }
@@ -193,18 +192,13 @@ USAGE:
   loadsteal serve --prom-addr <host:port> [--model <MODEL>] [--lambda <λ>] [--n N] [sim flags]
       Run a simulation while serving its live metrics registry in
       Prometheus text format (`--prom-addr host:0` picks a free port;
-      `--scrapes N` exits after N scrapes). With --stealbench the
-      workload is the real work-stealing pool instead, and the scrape
-      carries live exec.worker.<i>.* per-worker gauges (deque/inbox
-      depth, steals, parks) refreshed per request.
+      `--scrapes N` exits after N scrapes).
   loadsteal top [--workers N --lambda <λ> --horizon T --tau-ms ms --seed S]
-                [--interval ms] [--once] [--url http://host:port/metrics]
+                [--interval ms] [--once]
       Live dashboard over the work-stealing executor: per-worker deque
       and inbox depth, steal probes/hits, parks, events/sec, and the
-      measured per-worker λ̂. Without --url it runs the stealbench
-      workload in-process and polls the pool's lock-free per-worker
-      counters; with --url it scrapes a `loadsteal serve` endpoint
-      (including transient.residual_* drift gauges when present).
+      measured per-worker λ̂. It runs the stealbench workload
+      in-process and polls the pool's lock-free per-worker counters.
       --once prints a single plain frame and exits (CI smoke).
   loadsteal profile <command> [flags]
       Run any subcommand under the hierarchical span profiler and print

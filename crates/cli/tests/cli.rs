@@ -265,3 +265,59 @@ fn solve_and_simulate_record_the_spec_that_models_lists() {
         }
     }
 }
+
+/// More Erlang stages than the mean-field model's stage-level cap.
+const OVERSIZED_ERLANG: &str = "lambda=0.9,service=erlang:7501";
+
+#[test]
+fn solve_rejects_an_oversized_erlang_stage_spec() {
+    let (ok, _, stderr) = loadsteal(&["solve", "--model", OVERSIZED_ERLANG]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("error:") && !stderr.contains("panicked"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn report_drops_the_prediction_for_an_oversized_erlang_stage_spec() {
+    let path = std::env::temp_dir().join(format!(
+        "loadsteal_erlang_cap_{}.ndjson",
+        std::process::id()
+    ));
+    let trace = format!(
+        "{{\"ev\":\"header\",\"schema\":\"loadsteal.trace.v1\",\"model\":\"{OVERSIZED_ERLANG}\"}}\n\
+         {{\"ev\":\"arrival\",\"t\":0.5,\"proc\":0}}\n{{\"ev\":\"completion\",\"t\":1.5,\"proc\":0}}\n"
+    );
+    std::fs::write(&path, trace).unwrap();
+    let (ok, stdout, stderr) = loadsteal(&["report", path.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&path);
+    assert!(ok, "{stderr}");
+    assert!(
+        stdout.contains("no mean-field prediction supplied"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn top_once_prints_one_plain_frame() {
+    let args = "top --workers 4 --lambda 0.8 --horizon 80 --tau-ms 2 --seed 11 --once";
+    let (ok, stdout, stderr) = loadsteal(&args.split(' ').collect::<Vec<_>>());
+    assert!(ok, "{stderr}");
+    assert!(!stdout.contains('\x1b'), "{stdout:?}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert!(
+        lines[0].starts_with("loadsteal top — 4 workers"),
+        "{stdout}"
+    );
+    assert!(
+        lines[1].contains("submitted") && lines[1].contains("completed"),
+        "{stdout}"
+    );
+    assert!(lines[2].trim_start().starts_with("WORKER"), "{stdout}");
+    let rows: Vec<&str> = lines[3..]
+        .iter()
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(rows, ["0", "1", "2", "3"], "{stdout}");
+}

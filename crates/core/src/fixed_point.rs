@@ -8,7 +8,8 @@
 //! algebraic system `F(π) = 0` to (near) machine precision. The polish
 //! factors the Jacobian as a band plus a dense border, so banded systems
 //! polish at any truncation; only a Jacobian whose dense part exceeds
-//! [`FixedPointOptions::newton_max_dim`] is left to integration.
+//! the `max_dense_dim` of [`FixedPointOptions::newton`] is left to
+//! integration.
 //!
 //! # Sizing the truncation
 //!
@@ -73,15 +74,14 @@ pub struct FixedPointOptions {
     pub steady: SteadyStateOptions,
     /// Integrator tolerances.
     pub adaptive: AdaptiveOptions,
-    /// Newton-polish settings. Their `max_dense_dim` is replaced by
-    /// [`Self::newton_max_dim`].
+    /// Newton-polish settings. Their `max_dense_dim` (default 700) is
+    /// the largest dense part of the Jacobian the polish may factor: the
+    /// border of dense columns (global scalars such as `s₁`, `s₂`, `s_T`)
+    /// split off from the band, or the whole Jacobian when it has no band
+    /// structure (pairwise rebalancing). The state dimension is not
+    /// capped. A model whose dense part exceeds it is left to
+    /// integration.
     pub newton: NewtonOptions,
-    /// Largest dense part of the Jacobian the Newton polish may factor:
-    /// the border of dense columns (global scalars such as `s₁`, `s₂`,
-    /// `s_T`) split off from the band, or the whole Jacobian when it has
-    /// no band structure (pairwise rebalancing). The state dimension is
-    /// not capped. 0 disables the polish.
-    pub newton_max_dim: usize,
     /// Grow the truncation while the boundary mass exceeds this.
     pub boundary_tol: f64,
     /// Hard cap on the truncation the solver may choose.
@@ -98,7 +98,6 @@ impl Default for FixedPointOptions {
             },
             adaptive: AdaptiveOptions::default(),
             newton: NewtonOptions::default(),
-            newton_max_dim: 700,
             boundary_tol: 1e-12,
             max_truncation: 60_000,
         }
@@ -278,15 +277,13 @@ fn solve_at_truncation<M: MeanFieldModel>(
     opts: &FixedPointOptions,
     rec: &mut dyn Recorder,
 ) -> Result<(Vec<f64>, f64, bool), SolveError> {
-    let mut polish = opts.newton_max_dim > 0;
+    let mut polish = true;
     let mut y = match warm {
         Some((y, depth)) => {
-            if polish {
-                match try_newton(m, &y, residual_at(m, &y), depth, opts) {
-                    Polish::Converged(state, r) => return Ok((state, r, true)),
-                    Polish::TooDense => polish = false,
-                    Polish::Failed => {}
-                }
+            match try_newton(m, &y, residual_at(m, &y), depth, opts) {
+                Polish::Converged(state, r) => return Ok((state, r, true)),
+                Polish::TooDense => polish = false,
+                Polish::Failed => {}
             }
             y
         }
@@ -340,7 +337,7 @@ fn residual_at<M: MeanFieldModel>(m: &M, y: &[f64]) -> f64 {
 enum Polish {
     /// Converged to the given state and residual.
     Converged(Vec<f64>, f64),
-    /// The Jacobian's dense part exceeds `newton_max_dim`.
+    /// The Jacobian's dense part exceeds `max_dense_dim`.
     TooDense,
     /// Did not converge from this starting point.
     Failed,
@@ -368,7 +365,6 @@ fn try_newton<M: MeanFieldModel>(
     let newton_opts = loadsteal_ode::NewtonOptions {
         tol: opts.newton.tol.min(depth),
         max_iters: opts.newton.max_iters.min(25),
-        max_dense_dim: opts.newton_max_dim,
         ..opts.newton
     };
     let converged = match newton_solve(|x, out| m.deriv(0.0, x, out), &mut trial, &newton_opts) {

@@ -27,6 +27,10 @@ use crate::tail::{truncation_for_ratio, TailVector};
 
 use super::{check_lambda, MeanFieldModel};
 
+/// Most stage levels a model may start from; at 8 or more levels per
+/// stage, this caps `c` at 7500.
+const MAX_STAGE_LEVELS: usize = 60_000;
+
 /// Mean-field model of simple WS with Erlang-`c` (≈ constant) service.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ErlangStages {
@@ -51,6 +55,11 @@ impl ErlangStages {
         if stages == 0 {
             return Err("need at least one service stage".into());
         }
+        if stages > MAX_STAGE_LEVELS / 8 {
+            return Err(format!(
+                "{stages} service stages need more than the cap of {MAX_STAGE_LEVELS} stage levels"
+            ));
+        }
         if threshold < 2 {
             return Err(format!("threshold must be >= 2, got {threshold}"));
         }
@@ -62,7 +71,7 @@ impl ErlangStages {
             lambda / (1.0 + lambda - pi2)
         };
         let stage_ratio = rho_task.powf(1.0 / stages as f64);
-        let levels = truncation_for_ratio(stage_ratio, 1e-14, stages * 8, 60_000)
+        let levels = truncation_for_ratio(stage_ratio, 1e-14, stages * 8, MAX_STAGE_LEVELS)
             .max((threshold + 1) * stages + 8);
         Ok(Self {
             lambda,
@@ -321,5 +330,13 @@ mod tests {
         assert!(ErlangStages::new(0.5, 0).is_err());
         assert!(ErlangStages::new(1.2, 10).is_err());
         assert!(ErlangStages::with_threshold(0.5, 5, 1).is_err());
+    }
+
+    #[test]
+    fn stage_count_is_capped_with_an_error() {
+        assert_eq!(ErlangStages::new(0.9, 7500).unwrap().truncation(), 60_000);
+        let err = ErlangStages::new(0.9, 7501).unwrap_err();
+        assert!(err.contains("60000"), "{err}");
+        assert!(ErlangStages::new(0.9, usize::MAX).is_err());
     }
 }

@@ -4,7 +4,7 @@
 use loadsteal_core::fixed_point::{solve, FixedPointOptions, SolveError};
 use loadsteal_core::models::{MeanFieldModel, SimpleWs};
 use loadsteal_ode::solver::SteadyStateOptions;
-use loadsteal_ode::{AdaptiveOptions, DormandPrince45, IntegrationError, OdeSystem};
+use loadsteal_ode::{AdaptiveOptions, DormandPrince45, IntegrationError, NewtonOptions, OdeSystem};
 
 #[test]
 fn truncation_cap_is_reported() {
@@ -41,7 +41,11 @@ fn short_integration_horizon_is_not_converged() {
             t_max: 0.5, // hopeless: relaxation needs hundreds of units
             min_time: 0.0,
         },
-        newton_max_dim: 0, // and no Newton rescue
+        // and no Newton rescue: a dense cap below simple WS's two columns
+        newton: NewtonOptions {
+            max_dense_dim: 0,
+            ..NewtonOptions::default()
+        },
         ..FixedPointOptions::default()
     };
     match solve(&m, &opts) {

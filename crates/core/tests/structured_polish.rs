@@ -213,7 +213,10 @@ fn dense_cap_bounds_the_border_not_the_dimension() {
     let m = NoSteal::new(0.99).unwrap();
     assert!(m.dim() > 3000);
     let opts = FixedPointOptions {
-        newton_max_dim: 1,
+        newton: NewtonOptions {
+            max_dense_dim: 1,
+            ..NewtonOptions::default()
+        },
         ..FixedPointOptions::default()
     };
     assert!(solve(&m, &opts).unwrap().polished);

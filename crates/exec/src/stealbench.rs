@@ -219,9 +219,9 @@ impl StealBench {
     }
 
     /// Build the bench without any tracer: the pool emits nothing, so
-    /// the workload runs at full speed while observers still poll
-    /// [`pool`](Self::pool)`().worker_stats()` (the `loadsteal top`
-    /// in-process mode, and the overhead baseline).
+    /// the workload runs at full speed while an observer polls
+    /// [`pool`](Self::pool)`().worker_stats()` — what `loadsteal top`
+    /// renders.
     pub fn new_untraced(cfg: &StealBenchConfig) -> Result<Self, String> {
         Self::build(cfg, |b| b)
     }
@@ -251,11 +251,6 @@ impl StealBench {
     /// The pool under measurement (poll `worker_stats()` from here).
     pub fn pool(&self) -> &Pool {
         &self.pool
-    }
-
-    /// The workload parameters this bench was built with.
-    pub fn config(&self) -> &StealBenchConfig {
-        &self.cfg
     }
 
     /// Arrivals submitted so far (grows while [`drive`](Self::drive)

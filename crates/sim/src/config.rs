@@ -211,11 +211,6 @@ pub struct SimConfig {
     /// Tasks completing before this time are not measured (the paper
     /// throws away the first 10% of each run).
     pub warmup: f64,
-    /// Whether a thief's uniform victim draw may hit itself (a self-draw
-    /// always fails to steal). `true` matches the mean-field probability
-    /// `s_T` exactly; `false` matches a "choose among the other n − 1"
-    /// reading.
-    pub allow_self_victim: bool,
     /// Stop when the system has drained (no queued or in-flight tasks).
     /// Requires `lambda == 0`; used for makespan experiments.
     pub run_until_drained: bool,
@@ -442,7 +437,6 @@ impl SimConfig {
             initial_load: 0,
             horizon: 100_000.0,
             warmup: 10_000.0,
-            allow_self_victim: true,
             run_until_drained: false,
             snapshot_interval: None,
             heartbeat_every: DEFAULT_HEARTBEAT_EVERY,

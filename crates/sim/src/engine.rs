@@ -651,7 +651,7 @@ impl<'a, R: Recorder, Q: EventQueue> Engine<'a, R, Q> {
             if self.queues.len[p] as usize >= send_threshold {
                 self.steal_attempts += 1; // a probe message
                 self.emit(SimEventKind::StealAttempt, p, 1);
-                let target = self.pick_victim(p, 1);
+                let target = self.pick_victim(1);
                 if target != p && (self.queues.len[target] as usize) < recv_threshold {
                     self.steal_successes += 1;
                     self.tasks_migrated += 1;
@@ -893,23 +893,16 @@ impl<'a, R: Recorder, Q: EventQueue> Engine<'a, R, Q> {
         }
     }
 
-    /// Pick a victim: the most loaded of `choices` iid uniform draws.
-    /// O(1) per draw — only the length array is touched.
-    fn pick_victim(&mut self, thief: usize, choices: usize) -> usize {
+    /// Pick a victim: the most loaded of `choices` iid uniform draws
+    /// over all `n` processors. O(1) per draw — only the length array is
+    /// touched. A draw may hit the caller itself, which then fails to
+    /// steal (or to share): that matches the mean-field probability
+    /// `s_T` exactly.
+    fn pick_victim(&mut self, choices: usize) -> usize {
         let mut best = usize::MAX;
         let mut best_load = 0;
         for _ in 0..choices {
-            let v = if self.cfg.allow_self_victim {
-                self.rng.random_range(0..self.cfg.n)
-            } else if self.cfg.n == 1 {
-                thief
-            } else {
-                let mut v = self.rng.random_range(0..self.cfg.n - 1);
-                if v >= thief {
-                    v += 1;
-                }
-                v
-            };
+            let v = self.rng.random_range(0..self.cfg.n);
             let load = self.queues.len[v];
             if best == usize::MAX || load > best_load {
                 best = v;
@@ -931,7 +924,7 @@ impl<'a, R: Recorder, Q: EventQueue> Engine<'a, R, Q> {
     ) -> bool {
         self.steal_attempts += 1;
         self.emit(SimEventKind::StealAttempt, thief, 1);
-        let victim = self.pick_victim(thief, choices);
+        let victim = self.pick_victim(choices);
         if victim == thief {
             return false;
         }
@@ -1276,14 +1269,6 @@ mod tests {
         let r = run(&cfg, 16);
         let ratio = r.tasks_completed as f64 / r.tasks_arrived as f64;
         assert!(ratio > 0.99);
-    }
-
-    #[test]
-    fn excluding_self_victim_also_works() {
-        let mut cfg = base(8, 0.9);
-        cfg.allow_self_victim = false;
-        let r = run(&cfg, 17);
-        assert!(r.steal_successes > 0);
     }
 
     #[test]
