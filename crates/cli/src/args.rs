@@ -13,20 +13,19 @@ pub struct Args {
 
 impl Args {
     /// Parse flags from an iterator of raw arguments (after the
-    /// subcommand). `--flag value` and `--flag=value` are both accepted;
+    /// subcommand). `--flag value` and `--flag=value` are both accepted,
+    /// but an argument starting with `--` is never taken as a value;
     /// the named `switch_names` are value-less boolean switches
     /// (`--quiet`): present or absent, never consuming the following
     /// argument. Bare (non-`--`) arguments are collected as positionals,
     /// for commands like `report <trace.ndjson>` that take a file
     /// operand; the others reject them with
     /// [`Self::ensure_no_positionals`].
-    pub fn parse(
-        mut raw: impl Iterator<Item = String>,
-        switch_names: &[&str],
-    ) -> Result<Self, String> {
+    pub fn parse(raw: impl Iterator<Item = String>, switch_names: &[&str]) -> Result<Self, String> {
         let mut flags = BTreeMap::new();
         let mut switches = Vec::new();
         let mut positionals = Vec::new();
+        let mut raw = raw.peekable();
         while let Some(arg) = raw.next() {
             let Some(name) = arg.strip_prefix("--") else {
                 positionals.push(arg);
@@ -37,8 +36,10 @@ impl Args {
             } else if switch_names.contains(&name) {
                 switches.push(name.to_string());
             } else {
+                // Another flag is not a value (`--name=--x` still
+                // passes one literally).
                 let value = raw
-                    .next()
+                    .next_if(|v| !v.starts_with("--"))
                     .ok_or_else(|| format!("flag --{name} needs a value"))?;
                 flags.insert(name.to_string(), value);
             }
@@ -152,6 +153,12 @@ mod tests {
     #[test]
     fn missing_value_is_an_error() {
         assert!(parse(&["--lambda"], &[]).is_err());
+        // The next flag is not taken as the value ...
+        let err = parse(&["--model", "--lambda", "0.9"], &[]).unwrap_err();
+        assert_eq!(err, "flag --model needs a value");
+        // ... but the `=` form still passes a literal one.
+        let a = parse(&["--model=--x"], &[]).unwrap();
+        assert_eq!(a.required::<String>("model").unwrap(), "--x");
     }
 
     #[test]

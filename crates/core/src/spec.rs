@@ -58,9 +58,9 @@ use loadsteal_ode::OdeSystem;
 
 use crate::fixed_point::{solve, solve_traced, FixedPoint, FixedPointOptions};
 use crate::models::{
-    ErlangArrivals, ErlangStages, GeneralWs, Heterogeneous, HyperService, MeanFieldModel,
-    MultiChoice, MultiSteal, NoSteal, Preemptive, Rebalance, RebalanceRateFn, RepeatedSteal,
-    SimpleWs, ThresholdWs, TransferWs, WorkSharing,
+    check_lambda, ErlangArrivals, ErlangStages, GeneralWs, Heterogeneous, HyperService,
+    MeanFieldModel, MultiChoice, MultiSteal, NoSteal, Preemptive, Rebalance, RebalanceRateFn,
+    RepeatedSteal, SimpleWs, ThresholdWs, TransferWs, WorkSharing,
 };
 
 /// Tolerance for the unit-mean check on service distributions.
@@ -457,19 +457,30 @@ impl ModelSpec {
         Ok(())
     }
 
+    /// Label a model-constructor error with the spec field it concerns:
+    /// `lambda` when the arrival rate is outside `0 < λ < 1`, otherwise
+    /// `knob`, the field the dispatch target consumes besides the rate.
+    fn constructor_error(&self, knob: &'static str) -> impl Fn(String) -> UnsupportedSpec {
+        let field = if check_lambda(self.lambda).is_ok() {
+            knob
+        } else {
+            "lambda"
+        };
+        move |e| unsupported(field, e)
+    }
+
     /// Dispatch to the differential-equation model matching this spec.
     ///
     /// Every constructor consumes exactly the fields it supports; a
     /// non-default field nothing consumes is a typed
     /// [`UnsupportedSpec`] (the variant may still be simulable).
     pub fn mean_field(&self) -> Result<AnyModel, UnsupportedSpec> {
-        let err = |e: String| unsupported("lambda", e);
         match self.policy {
             PolicySpec::NoSteal => {
                 self.check_unconsumed(Consumes::default())?;
                 NoSteal::new(self.lambda)
                     .map(AnyModel::NoSteal)
-                    .map_err(err)
+                    .map_err(self.constructor_error("lambda"))
             }
             PolicySpec::OnEmpty {
                 threshold,
@@ -483,13 +494,13 @@ impl ModelSpec {
                 self.check_unconsumed(Consumes::default())?;
                 Preemptive::new(self.lambda, begin_at, rel_threshold)
                     .map(AnyModel::Preemptive)
-                    .map_err(err)
+                    .map_err(self.constructor_error("policy"))
             }
             PolicySpec::Repeated { rate, threshold } => {
                 self.check_unconsumed(Consumes::default())?;
                 RepeatedSteal::new(self.lambda, rate, threshold)
                     .map(AnyModel::Repeated)
-                    .map_err(err)
+                    .map_err(self.constructor_error("policy"))
             }
             PolicySpec::Rebalance { rate, per_task } => {
                 self.check_unconsumed(Consumes::default())?;
@@ -500,7 +511,7 @@ impl ModelSpec {
                 };
                 Rebalance::new(self.lambda, rate_fn)
                     .map(AnyModel::Rebalance)
-                    .map_err(err)
+                    .map_err(self.constructor_error("policy"))
             }
             PolicySpec::Share {
                 send_threshold,
@@ -509,7 +520,7 @@ impl ModelSpec {
                 self.check_unconsumed(Consumes::default())?;
                 WorkSharing::new(self.lambda, send_threshold, recv_threshold)
                     .map(AnyModel::Share)
-                    .map_err(err)
+                    .map_err(self.constructor_error("policy"))
             }
         }
     }
@@ -523,7 +534,6 @@ impl ModelSpec {
         choices: u32,
         batch: usize,
     ) -> Result<AnyModel, UnsupportedSpec> {
-        let err = |e: String| unsupported("lambda", e);
         let single = choices == 1 && batch == 1;
         if let Some(rate) = self.transfer_rate {
             if !single {
@@ -538,7 +548,7 @@ impl ModelSpec {
             })?;
             return TransferWs::new(self.lambda, rate, threshold)
                 .map(AnyModel::Transfer)
-                .map_err(err);
+                .map_err(self.constructor_error("transfer"));
         }
         match self.service {
             ServiceSpec::Erlang { stages } => {
@@ -554,7 +564,7 @@ impl ModelSpec {
                 })?;
                 return ErlangStages::with_threshold(self.lambda, stages as usize, threshold)
                     .map(AnyModel::ErlangStages)
-                    .map_err(err);
+                    .map_err(self.constructor_error("service"));
             }
             ServiceSpec::HyperExp { p, rate1, rate2 } => {
                 if !single {
@@ -569,7 +579,7 @@ impl ModelSpec {
                 })?;
                 return HyperService::new(self.lambda, p, rate1, rate2, threshold)
                     .map(AnyModel::HyperService)
-                    .map_err(err);
+                    .map_err(self.constructor_error("service"));
             }
             ServiceSpec::Deterministic => {
                 return Err(unsupported(
@@ -593,7 +603,7 @@ impl ModelSpec {
             })?;
             return ErlangArrivals::new(self.lambda, phases as usize, threshold)
                 .map(AnyModel::ErlangArrivals)
-                .map_err(err);
+                .map_err(self.constructor_error("arrival"));
         }
         if let SpeedSpec::TwoClass {
             fast_fraction,
@@ -613,7 +623,7 @@ impl ModelSpec {
             })?;
             return Heterogeneous::new(self.lambda, fast_fraction, fast_rate, slow_rate, threshold)
                 .map(AnyModel::Heterogeneous)
-                .map_err(err);
+                .map_err(self.constructor_error("speeds"));
         }
         self.check_unconsumed(Consumes::default())?;
         match (threshold, choices, batch) {
@@ -623,7 +633,7 @@ impl ModelSpec {
             (t, 1, k) => MultiSteal::new(self.lambda, k, t).map(AnyModel::MultiSteal),
             (t, d, k) => GeneralWs::new(self.lambda, t, d, k).map(AnyModel::GeneralWs),
         }
-        .map_err(err)
+        .map_err(self.constructor_error("policy"))
     }
 
     /// Solve the fixed point of this spec's mean-field model with
@@ -1230,6 +1240,18 @@ mod tests {
         // ... but bursty service with rebalancing fails on the service field.
         let spec = ModelSpec::parse("lambda=0.8,policy=rebalance,r=0.5,service=erlang:4").unwrap();
         assert_eq!(spec.mean_field().unwrap_err().field, "service");
+    }
+
+    #[test]
+    fn constructor_errors_name_the_field_at_fault() {
+        // Too many Erlang stages is the service field's fault ...
+        let spec = ModelSpec::parse("lambda=0.9,service=erlang:7501").unwrap();
+        let err = spec.mean_field().unwrap_err();
+        assert_eq!(err.field, "service", "{err}");
+        // ... while an unstable arrival rate stays the rate's fault.
+        let spec = ModelSpec::parse("lambda=1.2,service=erlang:4").unwrap();
+        let err = spec.mean_field().unwrap_err();
+        assert_eq!(err.field, "lambda", "{err}");
     }
 
     #[test]

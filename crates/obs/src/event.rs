@@ -198,7 +198,15 @@ impl Event {
     /// Render the event as a single-line JSON object (no trailing
     /// newline) — the NDJSON wire format.
     pub fn to_json_line(&self) -> String {
-        let mut j = JsonBuf::new();
+        let mut line = String::new();
+        self.write_json(&mut line);
+        line
+    }
+
+    /// Append the event's NDJSON line (no trailing newline) to `out`,
+    /// allocating only if `out` must grow.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        let mut j = JsonBuf::from_string(std::mem::take(out));
         j.begin_obj().field_str("ev", self.name());
         match *self {
             Self::SolverStep {
@@ -294,7 +302,7 @@ impl Event {
             }
         }
         j.end_obj();
-        j.finish()
+        *out = j.finish();
     }
 }
 
@@ -359,6 +367,170 @@ impl TraceHeader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::{NdjsonRecorder, Recorder};
+
+    /// A header and one event of every kind with its exact wire line:
+    /// elided `count`, `src` and `delay`, `null` for a non-finite float,
+    /// a `u64::MAX` seed, floats that need an exponent, and an empty
+    /// tail sample.
+    fn golden() -> (TraceHeader, &'static str, Vec<(Event, &'static str)>) {
+        let header = TraceHeader {
+            model: Some("lambda=0.9,policy=steal,T=2,d=1,k=1".into()),
+            n: Some(128),
+            seed: Some(u64::MAX),
+            runs: Some(3),
+            sample: Some(16),
+        };
+        let header_line = r#"{"ev":"header","schema":"loadsteal.trace.v1","model":"lambda=0.9,policy=steal,T=2,d=1,k=1","n":128,"seed":18446744073709551615,"runs":3,"sample":16}"#;
+        let sim = |kind, t, proc, src, count| Event::Sim {
+            kind,
+            t,
+            proc,
+            src,
+            count,
+        };
+        let job = |kind, t, src, delay| Event::Job {
+            kind,
+            t,
+            job: 9,
+            proc: 1,
+            src,
+            delay,
+        };
+        let events = vec![
+            (
+                Event::SolverStep {
+                    accepted: false,
+                    t: 0.0,
+                    h: 0.001,
+                    err_norm: 3.2e-11,
+                },
+                r#"{"ev":"solver_step","accepted":false,"t":0.0,"h":0.001,"err_norm":3.2e-11}"#,
+            ),
+            (
+                Event::SolverSteady {
+                    t: 1.5,
+                    residual: f64::NAN,
+                },
+                r#"{"ev":"solver_steady","t":1.5,"residual":null}"#,
+            ),
+            (
+                Event::SolverDone {
+                    accepted: 10,
+                    rejected: 2,
+                    min_h: 1e-7,
+                    max_h: 1e20,
+                    max_reject_streak: 1,
+                    converged: true,
+                    residual: f64::INFINITY,
+                },
+                r#"{"ev":"solver_done","accepted":10,"rejected":2,"min_h":1e-7,"max_h":1e20,"max_reject_streak":1,"converged":true,"residual":null}"#,
+            ),
+            (
+                sim(SimEventKind::Arrival, 0.25, 3, None, 1),
+                r#"{"ev":"arrival","t":0.25,"proc":3}"#,
+            ),
+            (
+                sim(SimEventKind::Completion, 1.0, 0, None, 1),
+                r#"{"ev":"completion","t":1.0,"proc":0}"#,
+            ),
+            (
+                sim(SimEventKind::StealAttempt, 2.5, 7, None, 1),
+                r#"{"ev":"steal_attempt","t":2.5,"proc":7}"#,
+            ),
+            (
+                sim(SimEventKind::StealSuccess, 2.5, 7, None, 1),
+                r#"{"ev":"steal_success","t":2.5,"proc":7}"#,
+            ),
+            (
+                sim(SimEventKind::Migration, 3.0, 7, Some(2), 3),
+                r#"{"ev":"migration","t":3.0,"proc":7,"src":2,"count":3}"#,
+            ),
+            (
+                sim(SimEventKind::Migration, 3.5, 4, Some(0), 1),
+                r#"{"ev":"migration","t":3.5,"proc":4,"src":0}"#,
+            ),
+            (
+                job(JobEventKind::Arrival, 1.0, None, 0.0),
+                r#"{"ev":"job_arrival","t":1.0,"job":9,"proc":1}"#,
+            ),
+            (
+                job(JobEventKind::Migrate, 2.0, Some(6), 0.5),
+                r#"{"ev":"job_migrate","t":2.0,"job":9,"proc":1,"src":6,"delay":0.5}"#,
+            ),
+            (
+                job(JobEventKind::Migrate, 2.25, Some(6), 0.0),
+                r#"{"ev":"job_migrate","t":2.25,"job":9,"proc":1,"src":6}"#,
+            ),
+            (
+                job(JobEventKind::ServiceStart, 2.5, None, 0.0),
+                r#"{"ev":"job_service_start","t":2.5,"job":9,"proc":1}"#,
+            ),
+            (
+                job(JobEventKind::Completion, 3.75, None, 0.0),
+                r#"{"ev":"job_completion","t":3.75,"job":9,"proc":1}"#,
+            ),
+            (
+                Event::TailSample {
+                    t: 12.5,
+                    tails: [0.875, 0.5, f64::NAN, 0.0, 0.0, 0.0, 0.0, 0.0],
+                    depth: 3,
+                },
+                r#"{"ev":"tail_sample","t":12.5,"s":[0.875,0.5,null]}"#,
+            ),
+            (
+                Event::TailSample {
+                    t: 13.0,
+                    tails: [0.0; TAIL_SAMPLE_DEPTH],
+                    depth: 0,
+                },
+                r#"{"ev":"tail_sample","t":13.0,"s":[]}"#,
+            ),
+            (
+                Event::Heartbeat {
+                    t: 100.0,
+                    events: 65536,
+                    tasks_in_system: 12,
+                },
+                r#"{"ev":"heartbeat","t":100.0,"events":65536,"tasks_in_system":12}"#,
+            ),
+            (
+                Event::ReplicateDone {
+                    seed: u64::MAX,
+                    wall_ms: 15.5,
+                    events: 1000,
+                    events_per_sec: 64516.0,
+                },
+                r#"{"ev":"replicate_done","seed":18446744073709551615,"wall_ms":15.5,"events":1000,"events_per_sec":64516.0}"#,
+            ),
+        ];
+        (header, header_line, events)
+    }
+
+    #[test]
+    fn wire_lines_match_the_golden_text() {
+        let (header, header_line, events) = golden();
+        assert_eq!(header.to_json_line(), header_line);
+        for (ev, line) in &events {
+            assert_eq!(ev.to_json_line(), *line);
+        }
+    }
+
+    #[test]
+    fn batched_recorder_writes_the_golden_text() {
+        let (header, header_line, events) = golden();
+        let mut rec = NdjsonRecorder::new(Vec::new());
+        rec.write_line(&header.to_json_line());
+        let mut want = format!("{header_line}\n");
+        for (ev, line) in &events {
+            rec.record(ev);
+            want.push_str(line);
+            want.push('\n');
+        }
+        let (bytes, err) = rec.into_inner();
+        assert!(err.is_none());
+        assert_eq!(String::from_utf8(bytes).unwrap(), want);
+    }
 
     #[test]
     fn every_event_renders_one_json_object() {

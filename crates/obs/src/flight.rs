@@ -250,7 +250,7 @@ pub fn render_dump(message: &str, thread: Option<&str>) -> String {
         out.push('\n');
     }
     for ev in &events {
-        out.push_str(&ev.to_json_line());
+        ev.write_json(&mut out);
         out.push('\n');
     }
     let rec = PanicRecord {

@@ -4,25 +4,43 @@
 //! (NDJSON trace lines, metrics reports, run manifests) goes through
 //! [`JsonBuf`], which handles comma placement, string escaping, and
 //! non-finite floats (serialized as `null` — the only deterministic
-//! rendering, since JSON has no infinities). The inverse direction is
-//! [`parse`], a strict recursive-descent parser used by the trace
-//! reader: it follows the JSON grammar exactly, so bare `NaN` /
-//! `Infinity` tokens and overflowing exponents are *rejected* with a
-//! byte-positioned error instead of smuggling non-finite floats into
-//! downstream analysis (Rust's `f64::from_str` would happily accept
-//! them).
+//! rendering, since JSON has no infinities). The writer allocates
+//! nothing beyond its output buffer: scopes are tracked in a bit set
+//! and numbers are formatted straight into the buffer.
+//!
+//! The inverse direction is [`parse`], a strict recursive-descent
+//! parser used by the trace reader: it follows the JSON grammar
+//! exactly, so bare `NaN` / `Infinity` tokens and overflowing exponents
+//! are *rejected* with a byte-positioned error instead of smuggling
+//! non-finite floats into downstream analysis (Rust's `f64::from_str`
+//! would happily accept them). A parsed [`JsonValue`] borrows from the
+//! input: a string without escapes is a slice of it, and only a string
+//! with escapes is copied. An object is a vector of its members in
+//! input order; when a key repeats, lookups see the last value. An
+//! NDJSON event line therefore parses with one allocation, the member
+//! vector.
+
+use std::borrow::Cow;
+use std::fmt::Write as _;
+
+/// Deepest nesting a [`JsonBuf`] tracks (one bit per open scope).
+const MAX_DEPTH: u32 = u64::BITS;
 
 /// An append-only JSON document builder.
 ///
 /// Objects and arrays are opened/closed explicitly; the builder tracks
-/// whether a separator comma is needed at each nesting level. Misuse
-/// (closing more than was opened) panics in debug builds and produces
-/// invalid JSON in release — callers are internal and tested.
+/// whether a separator comma is needed at each nesting level, up to 64
+/// levels. Misuse (closing more than was opened, or leaving scopes
+/// open) panics in debug builds and produces invalid JSON in release —
+/// callers are internal and tested.
 #[derive(Debug, Default)]
 pub struct JsonBuf {
     out: String,
-    /// One "needs a comma before the next item" flag per open scope.
-    stack: Vec<bool>,
+    /// Open scopes.
+    depth: u32,
+    /// Bit `i` set: scope `i` (0 = outermost) needs a comma before its
+    /// next item.
+    needs_comma: u64,
 }
 
 impl JsonBuf {
@@ -31,9 +49,19 @@ impl JsonBuf {
         Self::default()
     }
 
+    /// Continue writing after the contents of `out`: the buffer moves
+    /// in and [`JsonBuf::finish`] hands it back, so appending a line to
+    /// an existing batch allocates nothing.
+    pub(crate) fn from_string(out: String) -> Self {
+        Self {
+            out,
+            ..Self::default()
+        }
+    }
+
     /// Consume the builder, returning the document.
     pub fn finish(self) -> String {
-        debug_assert!(self.stack.is_empty(), "unclosed JSON scopes");
+        debug_assert!(self.depth == 0, "unclosed JSON scopes");
         self.out
     }
 
@@ -47,43 +75,57 @@ impl JsonBuf {
         self.out.is_empty()
     }
 
+    /// The bit of the innermost open scope, if any.
+    fn top_bit(&self) -> Option<u64> {
+        self.depth.checked_sub(1).map(|top| 1 << top)
+    }
+
     fn sep(&mut self) {
-        if let Some(needs) = self.stack.last_mut() {
-            if *needs {
+        if let Some(bit) = self.top_bit() {
+            if self.needs_comma & bit != 0 {
                 self.out.push(',');
             }
-            *needs = true;
+            self.needs_comma |= bit;
         }
+    }
+
+    fn open(&mut self, bracket: char) -> &mut Self {
+        self.sep();
+        assert!(
+            self.depth < MAX_DEPTH,
+            "JSON nested deeper than {MAX_DEPTH} scopes"
+        );
+        self.out.push(bracket);
+        self.needs_comma &= !(1 << self.depth);
+        self.depth += 1;
+        self
+    }
+
+    fn close(&mut self, bracket: char) -> &mut Self {
+        debug_assert!(self.depth > 0, "closing an unopened JSON scope");
+        self.depth = self.depth.saturating_sub(1);
+        self.out.push(bracket);
+        self
     }
 
     /// Open an object as the next value.
     pub fn begin_obj(&mut self) -> &mut Self {
-        self.sep();
-        self.out.push('{');
-        self.stack.push(false);
-        self
+        self.open('{')
     }
 
     /// Close the innermost object.
     pub fn end_obj(&mut self) -> &mut Self {
-        self.stack.pop();
-        self.out.push('}');
-        self
+        self.close('}')
     }
 
     /// Open an array as the next value.
     pub fn begin_arr(&mut self) -> &mut Self {
-        self.sep();
-        self.out.push('[');
-        self.stack.push(false);
-        self
+        self.open('[')
     }
 
     /// Close the innermost array.
     pub fn end_arr(&mut self) -> &mut Self {
-        self.stack.pop();
-        self.out.push(']');
-        self
+        self.close(']')
     }
 
     /// Write an object key; the next write supplies its value.
@@ -92,8 +134,8 @@ impl JsonBuf {
         write_escaped(&mut self.out, k);
         self.out.push(':');
         // The value that follows must not emit another comma.
-        if let Some(needs) = self.stack.last_mut() {
-            *needs = false;
+        if let Some(bit) = self.top_bit() {
+            self.needs_comma &= !bit;
         }
         self
     }
@@ -110,8 +152,9 @@ impl JsonBuf {
         self.sep();
         if v.is_finite() {
             // `{:?}` prints the shortest representation that round-trips,
-            // which is also valid JSON for finite values.
-            self.out.push_str(&format!("{v:?}"));
+            // which is also valid JSON for finite values. Writing to a
+            // `String` cannot fail.
+            let _ = write!(self.out, "{v:?}");
         } else {
             self.out.push_str("null");
         }
@@ -121,14 +164,14 @@ impl JsonBuf {
     /// Write a `u64` value.
     pub fn u64_val(&mut self, v: u64) -> &mut Self {
         self.sep();
-        self.out.push_str(&v.to_string());
+        let _ = write!(self.out, "{v}");
         self
     }
 
     /// Write an `i64` value.
     pub fn i64_val(&mut self, v: i64) -> &mut Self {
         self.sep();
-        self.out.push_str(&v.to_string());
+        let _ = write!(self.out, "{v}");
         self
     }
 
@@ -176,20 +219,29 @@ impl JsonBuf {
     }
 }
 
+/// Whether `b` must be escaped inside a JSON string.
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
 /// Escape `s` as a JSON string (with surrounding quotes) onto `out`.
 pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    if !s.bytes().any(needs_escape) {
+        out.push_str(s);
+    } else {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
             }
-            c => out.push(c),
         }
     }
     out.push('"');
@@ -198,11 +250,9 @@ pub fn write_escaped(out: &mut String, s: &str) {
 // ---------------------------------------------------------------------
 // Parsing.
 
-use std::collections::BTreeMap;
-
-/// A parsed JSON value.
+/// A parsed JSON value, borrowing from the text it was parsed from.
 #[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
+pub enum JsonValue<'a> {
     /// `null`.
     Null,
     /// `true` / `false`.
@@ -212,19 +262,22 @@ pub enum JsonValue {
     /// A non-negative integer token that fits `u64` — kept exact so
     /// values above 2^53 (e.g. 64-bit seeds) survive a round trip.
     Uint(u64),
-    /// A string.
-    Str(String),
+    /// A string: a slice of the input, or an owned copy when the
+    /// source spelled it with escapes.
+    Str(Cow<'a, str>),
     /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object (duplicate keys: last wins).
-    Obj(BTreeMap<String, JsonValue>),
+    Arr(Vec<JsonValue<'a>>),
+    /// An object's members in input order. Duplicate keys are all kept;
+    /// [`JsonValue::get`] returns the last.
+    Obj(Vec<(Cow<'a, str>, JsonValue<'a>)>),
 }
 
-impl JsonValue {
+impl<'a> JsonValue<'a> {
     /// Object member lookup; `None` for non-objects or missing keys.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
+    /// When a key repeats, the last occurrence wins.
+    pub fn get(&self, key: &str) -> Option<&JsonValue<'a>> {
         match self {
-            Self::Obj(m) => m.get(key),
+            Self::Obj(members) => members.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -286,9 +339,10 @@ impl std::fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 /// Parse one complete JSON value (trailing whitespace allowed, trailing
-/// garbage rejected).
-pub fn parse(s: &str) -> Result<JsonValue, JsonError> {
+/// garbage rejected). The value borrows its unescaped strings from `s`.
+pub fn parse(s: &str) -> Result<JsonValue<'_>, JsonError> {
     let mut p = Parser {
+        src: s,
         s: s.as_bytes(),
         i: 0,
     };
@@ -301,11 +355,12 @@ pub fn parse(s: &str) -> Result<JsonValue, JsonError> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     s: &'a [u8],
     i: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             offset: self.i,
@@ -339,7 +394,7 @@ impl Parser<'_> {
         Ok(())
     }
 
-    fn lit(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, JsonError> {
+    fn lit(&mut self, word: &str, v: JsonValue<'a>) -> Result<JsonValue<'a>, JsonError> {
         if self.s[self.i..].starts_with(word.as_bytes()) {
             self.i += word.len();
             Ok(v)
@@ -348,7 +403,7 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, JsonError> {
+    fn value(&mut self) -> Result<JsonValue<'a>, JsonError> {
         match self.peek()? {
             b'{' => self.object(),
             b'[' => self.array(),
@@ -361,12 +416,12 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
+    fn object(&mut self) -> Result<JsonValue<'a>, JsonError> {
         self.eat(b'{')?;
-        let mut m = BTreeMap::new();
+        let mut members = Vec::new();
         if self.peek()? == b'}' {
             self.i += 1;
-            return Ok(JsonValue::Obj(m));
+            return Ok(JsonValue::Obj(members));
         }
         loop {
             if self.peek()? != b'"' {
@@ -374,19 +429,19 @@ impl Parser<'_> {
             }
             let k = self.string()?;
             self.eat(b':')?;
-            m.insert(k, self.value()?);
+            members.push((k, self.value()?));
             match self.peek()? {
                 b',' => self.i += 1,
                 b'}' => {
                     self.i += 1;
-                    return Ok(JsonValue::Obj(m));
+                    return Ok(JsonValue::Obj(members));
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, JsonError> {
+    fn array(&mut self) -> Result<JsonValue<'a>, JsonError> {
         self.eat(b'[')?;
         let mut v = Vec::new();
         if self.peek()? == b']' {
@@ -406,72 +461,80 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// A string token. Runs of bytes that need no decoding are sliced
+    /// from the input; the first escape switches to an owned copy.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.eat(b'"')?;
-        let mut out = String::new();
+        let src = self.src;
+        let mut owned: Option<String> = None;
         loop {
-            let b = *self
-                .s
-                .get(self.i)
-                .ok_or_else(|| self.err("unterminated string"))?;
-            match b {
-                b'"' => {
+            let start = self.i;
+            while self.s.get(self.i).is_some_and(|&b| !needs_escape(b)) {
+                self.i += 1;
+            }
+            // `start` and `self.i` sit next to ASCII bytes, so both are
+            // char boundaries of `src`.
+            let run = &src[start..self.i];
+            match self.s.get(self.i) {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
                     self.i += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.i += 1;
-                    let esc = *self
-                        .s
-                        .get(self.i)
-                        .ok_or_else(|| self.err("unterminated escape"))?;
-                    self.i += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: require the low half.
-                                if !self.s[self.i..].starts_with(b"\\u") {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                                self.i += 2;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                hi
-                            };
-                            out.push(
-                                char::from_u32(c)
-                                    .ok_or_else(|| self.err("invalid unicode escape"))?,
-                            );
+                    return Ok(match owned {
+                        None => Cow::Borrowed(run),
+                        Some(mut out) => {
+                            out.push_str(run);
+                            Cow::Owned(out)
                         }
-                        other => return Err(self.err(format!("bad escape \\{:?}", other as char))),
-                    }
+                    });
                 }
-                0x00..=0x1f => return Err(self.err("raw control character in string")),
-                _ => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // continuation bytes are always well-formed).
-                    let start = self.i;
+                Some(b'\\') => {
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(run);
                     self.i += 1;
-                    while self.s.get(self.i).is_some_and(|b| b & 0xC0 == 0x80) {
-                        self.i += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.s[start..self.i]).expect("valid UTF-8"));
+                    self.escape(out)?;
                 }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
+    }
+
+    /// Decode the escape after a backslash onto `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        let esc = *self
+            .s
+            .get(self.i)
+            .ok_or_else(|| self.err("unterminated escape"))?;
+        self.i += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'n' => out.push('\n'),
+            b't' => out.push('\t'),
+            b'r' => out.push('\r'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'u' => {
+                let hi = self.hex4()?;
+                let c = if (0xD800..0xDC00).contains(&hi) {
+                    // Surrogate pair: require the low half.
+                    if !self.s[self.i..].starts_with(b"\\u") {
+                        return Err(self.err("unpaired surrogate"));
+                    }
+                    self.i += 2;
+                    let lo = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                } else {
+                    hi
+                };
+                out.push(char::from_u32(c).ok_or_else(|| self.err("invalid unicode escape"))?);
+            }
+            other => return Err(self.err(format!("bad escape \\{:?}", other as char))),
+        }
+        Ok(())
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
@@ -486,34 +549,38 @@ impl Parser<'_> {
         Ok(v)
     }
 
+    fn digits(&mut self) {
+        while self.s.get(self.i).is_some_and(u8::is_ascii_digit) {
+            self.i += 1;
+        }
+    }
+
     /// Parse a number following the JSON grammar exactly — so `NaN`,
     /// `Infinity`, `01`, `.5`, and `1.` are all rejected — then refuse
     /// any value that overflows to an infinity.
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
+    fn number(&mut self) -> Result<JsonValue<'a>, JsonError> {
         let start = self.i;
-        if self.s.get(self.i) == Some(&b'-') {
+        let negative = self.s.get(self.i) == Some(&b'-');
+        if negative {
             self.i += 1;
         }
         // Integer part: `0` or a nonzero digit followed by digits.
         match self.s.get(self.i) {
             Some(b'0') => self.i += 1,
-            Some(b'1'..=b'9') => {
-                while self.s.get(self.i).is_some_and(u8::is_ascii_digit) {
-                    self.i += 1;
-                }
-            }
+            Some(b'1'..=b'9') => self.digits(),
             _ => return Err(self.err("malformed number")),
         }
+        let mut integral = true;
         if self.s.get(self.i) == Some(&b'.') {
+            integral = false;
             self.i += 1;
             if !self.s.get(self.i).is_some_and(u8::is_ascii_digit) {
                 return Err(self.err("digits required after decimal point"));
             }
-            while self.s.get(self.i).is_some_and(u8::is_ascii_digit) {
-                self.i += 1;
-            }
+            self.digits();
         }
         if matches!(self.s.get(self.i), Some(b'e' | b'E')) {
+            integral = false;
             self.i += 1;
             if matches!(self.s.get(self.i), Some(b'+' | b'-')) {
                 self.i += 1;
@@ -521,13 +588,11 @@ impl Parser<'_> {
             if !self.s.get(self.i).is_some_and(u8::is_ascii_digit) {
                 return Err(self.err("digits required in exponent"));
             }
-            while self.s.get(self.i).is_some_and(u8::is_ascii_digit) {
-                self.i += 1;
-            }
+            self.digits();
         }
-        let text = std::str::from_utf8(&self.s[start..self.i]).expect("ASCII number");
+        let text = &self.src[start..self.i];
         // A plain non-negative integer token that fits u64 stays exact.
-        if !text.starts_with('-') && !text.contains(['.', 'e', 'E']) {
+        if integral && !negative {
             if let Ok(n) = text.parse::<u64>() {
                 return Ok(JsonValue::Uint(n));
             }
@@ -676,6 +741,23 @@ mod tests {
             Some("\u{1F600} π")
         );
         assert!(parse(r#""\ud83d""#).is_err(), "unpaired surrogate");
+    }
+
+    #[test]
+    fn duplicate_keys_keep_the_last_value() {
+        let v = parse(r#"{"t":1.0,"t":2.0}"#).unwrap();
+        assert_eq!(v.get("t").and_then(JsonValue::as_f64), Some(2.0));
+    }
+
+    #[test]
+    fn escaped_strings_parse_like_plain_ones() {
+        let plain = parse(r#"{"ev":"arrival","t":0.5,"proc":3}"#).unwrap();
+        let escaped = parse(r#"{"ev":"arr\u0069val","t":0.5,"proc":3}"#).unwrap();
+        assert_eq!(
+            escaped.get("ev").and_then(JsonValue::as_str),
+            Some("arrival")
+        );
+        assert_eq!(escaped, plain);
     }
 
     #[test]

@@ -168,10 +168,11 @@ impl Recorder for CountingRecorder {
 
 /// Streams events as NDJSON (one JSON object per line) to any writer.
 ///
-/// Emission is **batched**: rendered lines accumulate in an internal
-/// buffer and reach the writer in [`NdjsonRecorder::BATCH_BYTES`]
-/// chunks, so a million-event trace costs hundreds of `write` calls,
-/// not millions — the amortization that keeps tracing affordable at
+/// Emission is **batched**: each event is encoded straight into an
+/// internal buffer, and lines reach the writer in
+/// [`NdjsonRecorder::BATCH_BYTES`] chunks, so a million-event trace
+/// costs hundreds of `write` calls, not millions, and no per-event
+/// allocation — the amortization that keeps tracing affordable at
 /// n ≥ 65536 simulate scale (see `docs/telemetry.md` for the measured
 /// budget). [`Recorder::flush`] and [`NdjsonRecorder::into_inner`]
 /// push the partial batch through; an I/O error is detected at the
@@ -230,11 +231,17 @@ impl<W: Write> NdjsonRecorder<W> {
     /// toward [`NdjsonRecorder::lines`] and shares the batching and
     /// sticky-error behavior.
     pub fn write_line(&mut self, line: &str) {
+        self.append_line(|buf| buf.push_str(line));
+    }
+
+    /// Count one line and, unless an I/O error has stopped writing,
+    /// let `write` append it to the batch, then end it with a newline.
+    fn append_line(&mut self, write: impl FnOnce(&mut String)) {
         self.lines += 1;
         if self.error.is_some() {
             return;
         }
-        self.buf.push_str(line);
+        write(&mut self.buf);
         self.buf.push('\n');
         if self.buf.len() >= Self::BATCH_BYTES {
             self.write_batch();
@@ -257,7 +264,8 @@ impl<W: Write> NdjsonRecorder<W> {
 
 impl<W: Write> Recorder for NdjsonRecorder<W> {
     fn record(&mut self, ev: &Event) {
-        self.write_line(&ev.to_json_line());
+        // Encode straight into the batch: no per-event line buffer.
+        self.append_line(|buf| ev.write_json(buf));
     }
 
     fn flush(&mut self) {

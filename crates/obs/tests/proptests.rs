@@ -81,7 +81,8 @@ proptest! {
         let mut j = JsonBuf::new();
         j.begin_obj().field_f64("x", v);
         j.end_obj();
-        let doc = parse(&j.finish()).expect("writer output must parse");
+        let text = j.finish();
+        let doc = parse(&text).expect("writer output must parse");
         let got = doc.get("x").unwrap().as_f64().unwrap();
         // Shortest-roundtrip float formatting is exact, including -0.0.
         prop_assert_eq!(got.to_bits(), v.to_bits());
@@ -92,7 +93,8 @@ proptest! {
         let mut j = JsonBuf::new();
         j.begin_obj().field_u64("n", v);
         j.end_obj();
-        let doc = parse(&j.finish()).expect("writer output must parse");
+        let text = j.finish();
+        let doc = parse(&text).expect("writer output must parse");
         prop_assert_eq!(doc.get("n").unwrap().as_u64(), Some(v));
     }
 
@@ -117,7 +119,8 @@ proptest! {
         let mut j = JsonBuf::new();
         j.begin_obj().field_f64("x", v);
         j.end_obj();
-        let doc = parse(&j.finish()).expect("null rendering must parse");
+        let text = j.finish();
+        let doc = parse(&text).expect("null rendering must parse");
         prop_assert!(matches!(doc.get("x"), Some(JsonValue::Null)));
     }
 
@@ -132,7 +135,8 @@ proptest! {
         let kind = sim_kind(tag);
         let src = (kind == SimEventKind::Migration && with_src).then_some(procs.1);
         let ev = Event::Sim { kind, t, proc: procs.0, src, count };
-        let doc = parse(&ev.to_json_line()).expect("event line must parse");
+        let text = ev.to_json_line();
+        let doc = parse(&text).expect("event line must parse");
         prop_assert_eq!(doc.get("ev").unwrap().as_str(), Some(kind.name()));
         prop_assert_eq!(get_f64(&doc, "t").to_bits(), t.to_bits());
         prop_assert_eq!(get_u64(&doc, "proc"), procs.0 as u64);
@@ -229,7 +233,8 @@ proptest! {
         j.f64_val(g).u64_val(n).str_val(&s);
         j.end_arr();
         j.end_obj();
-        let doc = parse(&j.finish()).expect("nested doc must parse");
+        let text = j.finish();
+        let doc = parse(&text).expect("nested doc must parse");
         let meta = doc.get("meta").unwrap();
         prop_assert_eq!(meta.get("name").unwrap().as_str(), Some(s.as_str()));
         prop_assert_eq!(meta.get("n").unwrap().as_u64(), Some(n));

@@ -43,14 +43,16 @@ use loadsteal_sim::{run_recorded, run_seeded, sim_config};
 use crate::harness::{Check, Outcome, Settings, Tier};
 
 /// Maximum allowed wall-clock ratio of a fully traced simulator run
-/// (every event serialized to NDJSON) over the untraced run. Measured
-/// ratios on a 2-vCPU Xeon host read 6.1–9.2× (the engine simulates
-/// ≈ 17 M events/s untraced; JSON formatting caps the traced path
-/// near 2 M events/s — see `docs/telemetry.md`); the budget leaves
-/// headroom for slow shared runners while still catching a
-/// reintroduced per-event sink lock or an unbatched write path, which
-/// cost several× more on top.
-pub const OVERHEAD_BUDGET: f64 = 12.0;
+/// (every event serialized to NDJSON) over the untraced run. Eight
+/// `verify --quick --filter overhead` runs on a 2-vCPU Xeon host read
+/// 4.4–5.3× (median 5.1×): the engine simulates ≈ 12 M events/s
+/// untraced and ≈ 2.3 M events/s with every event encoded straight
+/// into the batch buffer (see `docs/telemetry.md`). The budget is 1.5×
+/// the worst of those runs, rounded up. It leaves headroom for slow
+/// shared runners while still catching a per-event allocation in the
+/// encoder (the allocating encoder read 7.9–14.6× on the same host), a
+/// reintroduced per-event sink lock or an unbatched write path.
+pub const OVERHEAD_BUDGET: f64 = 8.0;
 
 /// Threads hammering the recorder in the synthetic equivalence check.
 const SYN_THREADS: usize = 8;
