@@ -12,12 +12,14 @@ use loadsteal_obs::{
     TAIL_SAMPLE_DEPTH,
 };
 use loadsteal_sim::{
-    replicate, replicate_recorded, SimConfig, StealPolicy, ToSimConfig, DEFAULT_HEARTBEAT_EVERY,
+    replicate, replicate_recorded, ConfigError, SimConfig, StealPolicy, ToSimConfig,
+    DEFAULT_HEARTBEAT_EVERY,
 };
 use loadsteal_trace::{
     read_bytes, transient, MeanFieldPrediction, ParsedTrace, ReadMode, Timeline, TimelineConfig,
     TransientAnalysis, TransientOptions,
 };
+use loadsteal_verify::rate::error_curve;
 
 use crate::args::Args;
 use crate::obs::{manifest, say, Narrator, ObsOpts, OBS_FLAGS};
@@ -266,6 +268,15 @@ fn sim_config(a: &Args, spec: &ModelSpec) -> Result<SimConfig, String> {
     Ok(cfg)
 }
 
+/// `--runs` of the simulating commands (`default` when absent): at
+/// least one replication, since there is no estimate without one.
+fn runs_flag(a: &Args, default: usize) -> Result<usize, String> {
+    match a.get_or("runs", default)? {
+        0 => Err("--runs must be at least 1".into()),
+        runs => Ok(runs),
+    }
+}
+
 /// `loadsteal simulate` — run the discrete-event simulator.
 pub fn simulate(a: &Args) -> Result<(), String> {
     let mut known = SIM_FLAGS.to_vec();
@@ -276,7 +287,7 @@ pub fn simulate(a: &Args) -> Result<(), String> {
     let mut cfg = sim_config(a, &spec)?;
     let n = cfg.n;
     let lambda = cfg.lambda;
-    let runs: usize = a.get_or("runs", 3)?;
+    let runs = runs_flag(a, 3)?;
     let seed: u64 = a.get_or("seed", 42)?;
 
     let obs = ObsOpts::from_args(a)?;
@@ -295,7 +306,6 @@ pub fn simulate(a: &Args) -> Result<(), String> {
         n: Some(n as u64),
         seed: Some(seed),
         runs: Some(runs as u64),
-        ..TraceHeader::default()
     });
     let observing = rec.enabled();
 
@@ -365,14 +375,14 @@ pub fn simulate(a: &Args) -> Result<(), String> {
             reg.counter("sim.tail_samples").add(counts.tail_samples);
         }
         let (mut events, mut attempts, mut successes) = (0u64, 0u64, 0u64);
-        let wall_hist = reg.histogram("sim.run_wall_ms");
-        let ev_hist = reg.histogram("sim.run_events");
+        let run_wall = reg.sketch("sim.run_wall_ms");
+        let run_events = reg.sketch("sim.run_events");
         for r in &result.runs {
             events += r.events_processed;
             attempts += r.steal_attempts;
             successes += r.steal_successes;
-            wall_hist.record(r.wall_ms.round() as u64);
-            ev_hist.record(r.events_processed);
+            run_wall.record(r.wall_ms);
+            run_events.record(r.events_processed as f64);
         }
         reg.counter("sim.events").add(events);
         // Streaming sojourn-time quantiles, merged across runs.
@@ -420,14 +430,11 @@ const CONVERGE_FLAGS: &[&str] = &[
 
 /// `loadsteal converge` — measure the finite-size convergence rate.
 ///
-/// Sweeps the system size over a geometric grid, estimates the
-/// stationary tails at each size, and fits the decay exponent of
-/// `e(n) = max_{i∈2..4} |ŝᵢ(n) − sᵢ|` against the mean-field fixed
-/// point. Ying's refinement of the Kurtz limit puts the stationary
-/// error at Θ(1/n), so the fitted slope should sit near −1; an O(1)
-/// model-transcription bias flattens it towards 0 instead. `s₁` is
-/// excluded from the error: the busy fraction equals λ by work
-/// conservation at every n, so it carries no finite-size signal.
+/// Sweeps the system size over a geometric grid, measures the
+/// stationary tail error at each size ([`error_curve`]), and fits its
+/// decay exponent. Ying's refinement of the Kurtz limit puts the
+/// stationary error at Θ(1/n), so the fitted slope should sit near −1;
+/// an O(1) model-transcription bias flattens it towards 0 instead.
 pub fn converge(a: &Args) -> Result<(), String> {
     let mut known = CONVERGE_FLAGS.to_vec();
     known.extend_from_slice(OBS_FLAGS);
@@ -439,7 +446,7 @@ pub fn converge(a: &Args) -> Result<(), String> {
     if n_min < 2 {
         return Err("--n-min must be at least 2".into());
     }
-    let runs: usize = a.get_or("runs", 3)?;
+    let runs = runs_flag(a, 3)?;
     let horizon: f64 = a.get_or("horizon", 4_000.0)?;
     let warmup: f64 = a.get_or("warmup", horizon / 10.0)?;
     let seed: u64 = a.get_or("seed", 42)?;
@@ -452,34 +459,14 @@ pub fn converge(a: &Args) -> Result<(), String> {
 
     let obs = ObsOpts::from_args(a)?;
     let out = Narrator::new(obs.machine_stdout());
-    let fp = spec.fixed_point()?;
     say!(out, "model:    {canonical}");
     say!(
         out,
         "protocol: n ∈ {grid:?}, {runs} × {horizon:.0} s (warmup {warmup:.0} s), seed {seed}"
     );
-
-    // The error is the sup over s₂..s₄ — deep enough to see the tail
-    // structure, shallow enough that every grid point estimates it
-    // with usable variance at CI horizons.
-    const LEVELS: std::ops::RangeInclusive<usize> = 2..=4;
-    let mut points: Vec<(f64, f64)> = Vec::with_capacity(grid.len());
-    for &n in &grid {
-        let mut cfg = spec.sim_config(n).map_err(|e| e.to_string())?;
-        cfg.horizon = horizon;
-        cfg.warmup = warmup;
-        cfg.validate().map_err(|e| e.to_string())?;
-        let result = replicate(&cfg, runs, seed);
-        let tails = result.mean_load_tails();
-        let err = LEVELS
-            .map(|i| {
-                let sim = tails.get(i).copied().unwrap_or(0.0);
-                let fp_i = fp.task_tails.get(i).copied().unwrap_or(0.0);
-                (sim - fp_i).abs()
-            })
-            .fold(0.0f64, f64::max);
-        say!(out, "  n = {n:>7}: e(n) = {err:.3e}");
-        points.push((n as f64, err));
+    let points = error_curve(&spec, &grid, runs, horizon, warmup, seed)?;
+    for (n, err) in &points {
+        say!(out, "  n = {:>7}: e(n) = {err:.3e}", *n as usize);
     }
 
     let fit = fit_power_law(&points).ok_or("could not fit a slope (degenerate or zero errors)")?;
@@ -565,12 +552,8 @@ pub fn drain(a: &Args) -> Result<(), String> {
     let initial: usize = a.required("initial")?;
     let n: usize = a.get_or("n", 128)?;
     let internal: f64 = a.get_or("internal", 0.0)?;
-    let model = StaticDrain::new(0.0, internal, 4 * initial + 16)?;
-    let predicted = model
-        .drain_time(initial, 1e-3, 1e6)
-        .map_err(|e| e.to_string())?;
-    println!("mean-field drain time (n → ∞): {predicted:.2}");
-
+    let runs = runs_flag(a, 5)?;
+    let seed: u64 = a.get_or("seed", 42)?;
     let mut cfg = SimConfig::paper_default(n, 0.0);
     cfg.lambda = 0.0;
     cfg.internal_lambda = internal;
@@ -581,8 +564,18 @@ pub fn drain(a: &Args) -> Result<(), String> {
         rate: 8.0,
         threshold: 2,
     };
-    let runs: usize = a.get_or("runs", 5)?;
-    let seed: u64 = a.get_or("seed", 42)?;
+    cfg.validate().map_err(|e| match e {
+        ConfigError::ZeroProcessors | ConfigError::TooManyProcessors(_) => format!("--n: {e}"),
+        ConfigError::BadInternalLambda(_) => format!("--internal: {e}"),
+        ConfigError::DrainedEndsImmediately => format!("--initial: {e}"),
+        _ => e.to_string(),
+    })?;
+
+    let model = StaticDrain::new(0.0, internal, 4 * initial + 16)?;
+    let predicted = model
+        .drain_time(initial, 1e-3, 1e6)
+        .map_err(|e| e.to_string())?;
+    println!("mean-field drain time (n → ∞): {predicted:.2}");
     let result = replicate(&cfg, runs, seed);
     println!(
         "simulated makespan (n = {n}, {runs} runs): {:.2} ± {:.2}",
@@ -622,7 +615,6 @@ pub fn stealbench(a: &Args) -> Result<(), String> {
         n: Some(cfg.workers as u64),
         seed: Some(cfg.seed),
         runs: Some(1),
-        ..TraceHeader::default()
     });
 
     say!(
@@ -1001,7 +993,7 @@ pub fn serve(a: &Args) -> Result<(), String> {
     // With --trace-jobs the registry recorder also maintains the
     // job.* lifecycle counters in the scrape.
     cfg.trace_jobs = a.switch("trace-jobs");
-    let runs: usize = a.get_or("runs", 1)?;
+    let runs = runs_flag(a, 1)?;
     let seed: u64 = a.get_or("seed", 42)?;
 
     let registry = std::sync::Arc::new(Registry::new());

@@ -245,10 +245,6 @@ on every subcommand):
   --metrics-json <file|->   write the loadsteal.run.v1 document (manifest
                             + metrics, including sojourn-time quantile
                             sketches); `-` prints to stdout likewise
-  --trace-sample <k>        keep only every k-th event per kind in the
-                            NDJSON trace (counters stay exact; the header
-                            records the stride so readers know the trace
-                            is sampled). Default 1 = complete trace
   --profile <out>           export the hierarchical span profile: Chrome
                             trace-event JSON (chrome://tracing, Perfetto)
                             by default, folded stacks for inferno /

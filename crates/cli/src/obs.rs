@@ -14,7 +14,7 @@ use crate::args::Args;
 
 /// Flags handled by this module; commands append them to their own
 /// known-flag lists.
-pub const OBS_FLAGS: &[&str] = &["trace", "metrics-json", "trace-sample"];
+pub const OBS_FLAGS: &[&str] = &["trace", "metrics-json"];
 
 /// Observability options parsed from the command line.
 #[derive(Debug, Clone, Default)]
@@ -24,24 +24,15 @@ pub struct ObsOpts {
     pub trace: Option<String>,
     /// `--metrics-json <file|->`: emit the `loadsteal.run.v1` document.
     pub metrics_json: Option<String>,
-    /// `--trace-sample <k>`: keep every k-th event *per kind* in the
-    /// NDJSON trace (counters stay exact; the header records the
-    /// stride). 1 (default) keeps everything.
-    pub trace_sample: u64,
 }
 
 impl ObsOpts {
     /// Read the observability flags from parsed arguments. Errors when
     /// both machine-readable streams claim stdout.
     pub fn from_args(a: &Args) -> Result<Self, String> {
-        let trace_sample: u64 = a.get_or("trace-sample", 1)?;
-        if trace_sample == 0 {
-            return Err("--trace-sample must be at least 1 (1 keeps every event)".into());
-        }
         let opts = Self {
             trace: a.raw("trace").map(str::to_owned),
             metrics_json: a.raw("metrics-json").map(str::to_owned),
-            trace_sample,
         };
         if opts.trace_on_stdout() && opts.json_on_stdout() {
             return Err(
@@ -94,8 +85,6 @@ impl ObsOpts {
             counts: CountingRecorder::new(),
             metrics_wanted: self.metrics_json.is_some(),
             trace,
-            sample: self.trace_sample.max(1),
-            seen: [0; KIND_SLOTS],
             flight: loadsteal_obs::flight::active(),
             panic_after,
             recorded: 0,
@@ -118,27 +107,6 @@ impl ObsOpts {
     }
 }
 
-/// One slot per event kind for the `--trace-sample` stride: the three
-/// solver shapes, five simulator kinds, four job kinds, and the three
-/// remaining variants (tail sample, heartbeat, replicate-done).
-const KIND_SLOTS: usize = 15;
-
-/// Map an event to its per-kind sampling slot. Sampling is per kind so
-/// a stride never starves rare-but-load-bearing kinds (a steal success
-/// among millions of completions).
-fn kind_slot(ev: &Event) -> usize {
-    match ev {
-        Event::SolverStep { .. } => 0,
-        Event::SolverSteady { .. } => 1,
-        Event::SolverDone { .. } => 2,
-        Event::Sim { kind, .. } => 3 + *kind as usize,
-        Event::Job { kind, .. } => 8 + *kind as usize,
-        Event::TailSample { .. } => 12,
-        Event::Heartbeat { .. } => 13,
-        Event::ReplicateDone { .. } => 14,
-    }
-}
-
 /// Counts every event (feeding the metrics report), optionally tees it
 /// to an NDJSON trace destination (file or stdout), and feeds the
 /// flight-recorder ring when `--flight-recorder` armed it.
@@ -146,11 +114,6 @@ pub struct CliRecorder {
     counts: CountingRecorder,
     metrics_wanted: bool,
     trace: Option<NdjsonRecorder<Box<dyn Write + Send>>>,
-    /// `--trace-sample` stride: the NDJSON trace keeps the 1st, then
-    /// every `sample`-th event of each kind. Counters, the flight
-    /// ring, and fault injection always see the full stream.
-    sample: u64,
-    seen: [u64; KIND_SLOTS],
     flight: bool,
     /// `LOADSTEAL_PANIC_AFTER_EVENTS` fault injection (tests only).
     panic_after: Option<u64>,
@@ -161,14 +124,8 @@ impl CliRecorder {
     /// Write the trace's self-describing header line (and remember it
     /// for crash dumps when the flight recorder is armed). A no-op
     /// without `--trace` or `--flight-recorder`, so commands call it
-    /// unconditionally before their first event. The `--trace-sample`
-    /// stride is stamped into the header here, so commands never have
-    /// to thread it through.
+    /// unconditionally before their first event.
     pub fn write_header(&mut self, header: &loadsteal_obs::TraceHeader) {
-        let mut header = header.clone();
-        if self.sample > 1 {
-            header.sample = Some(self.sample);
-        }
         if let Some(t) = &mut self.trace {
             t.write_line(&header.to_json_line());
         }
@@ -207,11 +164,7 @@ impl Recorder for CliRecorder {
     fn record(&mut self, ev: &Event) {
         self.counts.record(ev);
         if let Some(t) = &mut self.trace {
-            let slot = kind_slot(ev);
-            if self.seen[slot] % self.sample == 0 {
-                t.record(ev);
-            }
-            self.seen[slot] += 1;
+            t.record(ev);
         }
         if self.flight {
             loadsteal_obs::flight::record(ev);

@@ -142,6 +142,40 @@ fn drain_reports_both_numbers() {
     assert!(stdout.contains("simulated makespan"));
 }
 
+/// Run shapes with nothing to simulate are input errors: exit 1 with a
+/// message naming the flag, not a panic (exit 101). `serve` must refuse
+/// before its listener comes up.
+#[test]
+fn empty_run_shapes_are_clean_errors() {
+    let cases = [
+        ("simulate --runs 0 --n 8 --horizon 10", "--runs"),
+        (
+            "converge --runs 0 --n-min 8 --n-max 32 --horizon 10",
+            "--runs",
+        ),
+        (
+            "serve --runs 0 --prom-addr 127.0.0.1:0 --horizon 10",
+            "--runs",
+        ),
+        ("drain --initial 5 --n 4 --runs 0", "--runs"),
+        ("drain --initial 0 --n 4", "--initial"),
+        ("drain --initial 5 --n 0", "--n"),
+    ];
+    for (args, flag) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_loadsteal"))
+            .args(args.split(' '))
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: {flag}")),
+            "{args}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args}");
+    }
+}
+
 #[test]
 fn verify_filtered_layer_passes_and_renders_a_table() {
     // The determinism layer is simulation-light (n ≤ 16, short

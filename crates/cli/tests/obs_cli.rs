@@ -297,8 +297,26 @@ fn metrics_json_stdout_is_one_parseable_document_with_both_layers() {
     assert!(gauges["sim.mean_sojourn"].num() > 1.0);
     assert!(gauges["solver.mean_time_in_system"].num() > 1.0);
 
-    let hist = doc.get("metrics").get("histograms").get("sim.run_events");
-    assert_eq!(hist.get("count").num(), 2.0);
+    // Distributions are sketches, one summary per run, with exact
+    // extremes.
+    let metrics: Vec<&str> = doc
+        .get("metrics")
+        .obj()
+        .keys()
+        .map(|k| k.as_str())
+        .collect();
+    assert_eq!(metrics, ["counters", "gauges", "sketches"]);
+    for name in ["sim.run_events", "sim.run_wall_ms"] {
+        let s = doc.get("metrics").get("sketches").get(name);
+        assert_eq!(s.get("count").num(), 2.0, "{name}");
+        let (min, p50, max) = (s.get("min").num(), s.get("p50").num(), s.get("max").num());
+        assert!(min <= p50 && p50 <= max, "{name}: {min} {p50} {max}");
+    }
+    let events = doc.get("metrics").get("sketches").get("sim.run_events");
+    assert_eq!(
+        events.get("min").num() + events.get("max").num(),
+        counters["sim.events"].num()
+    );
 }
 
 #[test]
@@ -417,9 +435,9 @@ fn metrics_json_carries_sojourn_quantile_sketch() {
         sketch.get("mean").num(),
         mean
     );
-    // Histogram quantiles ride along on every non-empty histogram.
-    let hist = doc.get("metrics").get("histograms").get("sim.run_events");
-    assert!(hist.get("p50").num() > 0.0);
+    // Per-run totals are sketches too, with quantiles alongside.
+    let run_events = doc.get("metrics").get("sketches").get("sim.run_events");
+    assert!(run_events.get("p50").num() > 0.0);
 }
 
 #[test]

@@ -327,12 +327,6 @@ pub struct TraceHeader {
     pub seed: Option<u64>,
     /// Number of replications whose events follow.
     pub runs: Option<u64>,
-    /// Per-kind sampling stride: only every `sample`-th event of each
-    /// kind was written (`--trace-sample k`). Absent (or 1) means the
-    /// trace is complete. Sampled traces are for rate/throughput
-    /// analysis — exact replay (queue-depth reconstruction, job
-    /// lifecycles) needs a complete trace.
-    pub sample: Option<u64>,
 }
 
 impl TraceHeader {
@@ -356,9 +350,6 @@ impl TraceHeader {
         if let Some(runs) = self.runs {
             j.field_u64("runs", runs);
         }
-        if let Some(sample) = self.sample.filter(|&k| k > 1) {
-            j.field_u64("sample", sample);
-        }
         j.end_obj();
         j.finish()
     }
@@ -379,9 +370,8 @@ mod tests {
             n: Some(128),
             seed: Some(u64::MAX),
             runs: Some(3),
-            sample: Some(16),
         };
-        let header_line = r#"{"ev":"header","schema":"loadsteal.trace.v1","model":"lambda=0.9,policy=steal,T=2,d=1,k=1","n":128,"seed":18446744073709551615,"runs":3,"sample":16}"#;
+        let header_line = r#"{"ev":"header","schema":"loadsteal.trace.v1","model":"lambda=0.9,policy=steal,T=2,d=1,k=1","n":128,"seed":18446744073709551615,"runs":3}"#;
         let sim = |kind, t, proc, src, count| Event::Sim {
             kind,
             t,
@@ -618,7 +608,6 @@ mod tests {
             n: Some(128),
             seed: Some(42),
             runs: Some(3),
-            sample: None,
         };
         let line = full.to_json_line();
         assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
@@ -633,21 +622,6 @@ mod tests {
         let line = sparse.to_json_line();
         assert!(!line.contains("\"n\""), "{line}");
         assert!(!line.contains("seed"), "{line}");
-    }
-
-    #[test]
-    fn header_sample_stride_renders_only_when_sampling() {
-        let sampled = TraceHeader {
-            sample: Some(16),
-            ..TraceHeader::default()
-        };
-        assert!(sampled.to_json_line().contains(r#""sample":16"#));
-        // A stride of 1 is a complete trace — elided like absence.
-        let complete = TraceHeader {
-            sample: Some(1),
-            ..TraceHeader::default()
-        };
-        assert!(!complete.to_json_line().contains("sample"));
     }
 
     #[test]

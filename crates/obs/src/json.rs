@@ -168,31 +168,10 @@ impl JsonBuf {
         self
     }
 
-    /// Write an `i64` value.
-    pub fn i64_val(&mut self, v: i64) -> &mut Self {
-        self.sep();
-        let _ = write!(self.out, "{v}");
-        self
-    }
-
     /// Write a boolean value.
     pub fn bool_val(&mut self, v: bool) -> &mut Self {
         self.sep();
         self.out.push_str(if v { "true" } else { "false" });
-        self
-    }
-
-    /// Write a `null` value.
-    pub fn null_val(&mut self) -> &mut Self {
-        self.sep();
-        self.out.push_str("null");
-        self
-    }
-
-    /// Splice a pre-rendered JSON value (trusted to be valid).
-    pub fn raw_val(&mut self, v: &str) -> &mut Self {
-        self.sep();
-        self.out.push_str(v);
         self
     }
 

@@ -19,7 +19,7 @@
 //!   no shared sink type: each run buffers privately and hands its
 //!   events to the caller's recorder in batches.
 //! * **Metrics** ([`registry::Registry`]): named counters, gauges, and
-//!   log2-bucketed histograms, snapshottable into a JSON
+//!   quantile sketches ([`Digest`]), snapshottable into a JSON
 //!   [`registry::MetricsReport`] — the machine-readable footprint of a
 //!   run.
 //! * **Manifests** ([`manifest::RunManifest`]): the reproducibility
@@ -58,7 +58,7 @@ pub use recorder::{
     CollectingRecorder, CountingRecorder, EventCounts, NdjsonRecorder, NullRecorder, Recorder,
     RegistryRecorder, TailReference,
 };
-pub use registry::{Counter, Gauge, Histogram, MetricsReport, Registry, Sketch};
+pub use registry::{Counter, Gauge, MetricsReport, Registry, Sketch};
 pub use shard::{ShardSink, ShardedRecorder};
 pub use sketch::Digest;
 pub use span::{ProfileReport, SpanAggregate, SpanGuard, SpanInstance, SpanRecord, ThreadProfile};

@@ -13,7 +13,7 @@
 //!     "seed": 12345,             // omitted when not applicable
 //!     "config": { "n": 64, ... } // free-form key/value pairs
 //!   },
-//!   "metrics": { "counters": ..., "gauges": ..., "histograms": ... }
+//!   "metrics": { "counters": ..., "gauges": ..., "sketches": ... }
 //! }
 //! ```
 

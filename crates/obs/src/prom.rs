@@ -1,9 +1,8 @@
 //! Prometheus text-format exposition of a [`MetricsReport`].
 //!
 //! Renders the standard exposition format (version 0.0.4): `# HELP` /
-//! `# TYPE` headers, `_total`-suffixed counters, plain gauges,
-//! cumulative `_bucket{le="…"}` histogram series with `_sum`/`_count`,
-//! and sketch quantiles as summaries. Metric names are sanitized
+//! `# TYPE` headers, `_total`-suffixed counters, plain gauges, and
+//! sketch quantiles as summaries. Metric names are sanitized
 //! (`.` and any other invalid character → `_`), values use Rust's
 //! shortest-roundtrip float formatting with non-finite values spelled
 //! `+Inf`/`-Inf`/`NaN` as the format requires.
@@ -80,30 +79,6 @@ pub fn prometheus_text(report: &MetricsReport, prefix: &str) -> String {
         let _ = writeln!(out, "{m} {}", fmt_value(*value));
     }
 
-    for (name, h) in &report.histograms {
-        let m = format!("{pre}{}", sanitize_name(name));
-        let _ = writeln!(out, "# HELP {m} Histogram {name:?} (log2 buckets).");
-        let _ = writeln!(out, "# TYPE {m} histogram");
-        let mut cumulative = 0u64;
-        for (i, &c) in h.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            cumulative += c;
-            // Upper bound of log2 bucket i: 1 for bucket 0 (zeros),
-            // else 2^i; the final bucket is open-ended.
-            let le = if i >= 64 {
-                f64::INFINITY
-            } else {
-                (1u128 << i) as f64
-            };
-            let _ = writeln!(out, "{m}_bucket{{le=\"{}\"}} {cumulative}", fmt_value(le));
-        }
-        let _ = writeln!(out, "{m}_bucket{{le=\"+Inf\"}} {}", h.count());
-        let _ = writeln!(out, "{m}_sum {}", h.sum);
-        let _ = writeln!(out, "{m}_count {}", h.count());
-    }
-
     for (name, d) in &report.sketches {
         let m = format!("{pre}{}", sanitize_name(name));
         let _ = writeln!(
@@ -172,10 +147,6 @@ mod tests {
         let reg = Registry::new();
         reg.counter("sim.arrivals").add(42);
         reg.gauge("sim.rate").set(0.75);
-        let h = reg.histogram("sim.batch");
-        for v in [0, 1, 3, 1000] {
-            h.record(v);
-        }
         let s = reg.sketch("sim.sojourn");
         for i in 1..=100 {
             s.record(i as f64 / 10.0);
@@ -186,29 +157,10 @@ mod tests {
         assert!(text.contains("# TYPE loadsteal_sim_rate gauge"), "{text}");
         assert!(text.contains("loadsteal_sim_rate 0.75"), "{text}");
         assert!(
-            text.contains("loadsteal_sim_batch_bucket{le=\"+Inf\"} 4"),
-            "{text}"
-        );
-        assert!(text.contains("loadsteal_sim_batch_count 4"), "{text}");
-        assert!(text.contains("loadsteal_sim_batch_sum 1004"), "{text}");
-        assert!(
             text.contains("loadsteal_sim_sojourn{quantile=\"0.99\"}"),
             "{text}"
         );
         assert!(text.contains("loadsteal_sim_sojourn_count 100"), "{text}");
-    }
-
-    #[test]
-    fn histogram_buckets_are_cumulative() {
-        let reg = Registry::new();
-        let h = reg.histogram("h");
-        h.record(1); // bucket 1, le=2
-        h.record(2); // bucket 2, le=4
-        h.record(3); // bucket 2, le=4
-        let text = prometheus_text(&reg.snapshot(), "");
-        assert!(text.contains("h_bucket{le=\"2\"} 1"), "{text}");
-        assert!(text.contains("h_bucket{le=\"4\"} 3"), "{text}");
-        assert!(text.contains("h_bucket{le=\"+Inf\"} 3"), "{text}");
     }
 
     #[test]

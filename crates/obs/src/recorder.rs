@@ -208,13 +208,6 @@ impl<W: Write> NdjsonRecorder<W> {
         self.lines
     }
 
-    /// First I/O error encountered while writing, if any. Only errors
-    /// from batches already pushed are visible; flush first for an
-    /// up-to-date answer.
-    pub fn io_error(&self) -> Option<&std::io::Error> {
-        self.error.as_ref()
-    }
-
     /// Flush and return the inner writer (and the first error, if any).
     pub fn into_inner(mut self) -> (W, Option<std::io::Error>) {
         self.write_batch();

@@ -32,7 +32,7 @@
 //! [`JobAnomalies`], never panicked on, and anomalous jobs are excluded
 //! from the aggregates.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use loadsteal_obs::{Digest, Event, JobEventKind};
 
@@ -152,7 +152,8 @@ pub struct JobAnalysis {
     pub hops: u64,
     /// Longest migration chain (hops) seen on a completed job.
     pub longest_chain: u64,
-    /// Ids of an example job attaining `longest_chain` (first seen).
+    /// Id of a job attaining `longest_chain`: the lowest among ties,
+    /// which is the first to arrive, since ids are minted at admission.
     pub longest_chain_job: Option<u64>,
     /// Queue-wait component distribution.
     pub wait: Digest,
@@ -187,8 +188,11 @@ impl JobAnalysis {
     /// As [`build`](Self::build), additionally returning the raw
     /// per-job records (keyed by job id) for callers that need the
     /// individual timelines — tests, invariant checks, drill-downs.
-    pub fn build_with_records(events: &[Event], warmup: f64) -> (Self, HashMap<u64, JobRecord>) {
-        let mut jobs: HashMap<u64, JobRecord> = HashMap::new();
+    ///
+    /// Jobs are folded into the aggregates in id order, so the result
+    /// does not depend on anything but the events.
+    pub fn build_with_records(events: &[Event], warmup: f64) -> (Self, BTreeMap<u64, JobRecord>) {
+        let mut jobs: BTreeMap<u64, JobRecord> = BTreeMap::new();
         let mut an = JobAnomalies::default();
 
         for ev in events {
@@ -598,6 +602,27 @@ mod tests {
         assert_eq!(a.arrived, 2);
         assert_eq!(a.completed, 0);
         assert_eq!(a.anomalies.total(), 0); // truncation is not an anomaly
+    }
+
+    #[test]
+    fn longest_chain_ties_name_the_lowest_id_every_time() {
+        // Sixteen jobs arrive in id order; the eight even ids take two
+        // hops, the odd ones one.
+        let mut events = Vec::new();
+        for id in 3..19u64 {
+            let t = id as f64;
+            let hops = if id % 2 == 0 { 2 } else { 1 };
+            events.push(job(JobEventKind::Arrival, t, id, 0));
+            for h in 0..hops {
+                events.push(migrate(t + 0.1 * f64::from(h + 1), id, h + 1, h, 0.0));
+            }
+            events.push(job(JobEventKind::ServiceStart, t + 0.5, id, hops));
+            events.push(job(JobEventKind::Completion, t + 0.9, id, hops));
+        }
+        for _ in 0..32 {
+            let a = JobAnalysis::build(&events, 0.0);
+            assert_eq!((a.longest_chain, a.longest_chain_job), (2, Some(4)));
+        }
     }
 
     #[test]

@@ -248,7 +248,6 @@ fn parse_header(v: &JsonValue) -> Result<TraceHeader, (usize, String)> {
         n: opt_u64_field(v, "n")?,
         seed: opt_u64_field(v, "seed")?,
         runs: opt_u64_field(v, "runs")?,
-        sample: opt_u64_field(v, "sample")?,
     })
 }
 
@@ -802,22 +801,23 @@ garbage
             n: Some(128),
             seed: Some(42),
             runs: Some(4),
-            sample: Some(8),
         };
-        let text = format!(
-            "{}\n{}\n",
-            header.to_json_line(),
-            Event::Heartbeat {
-                t: 1.0,
-                events: 10,
-                tasks_in_system: 3,
-            }
-            .to_json_line()
-        );
+        let heartbeat = Event::Heartbeat {
+            t: 1.0,
+            events: 10,
+            tasks_in_system: 3,
+        }
+        .to_json_line();
+        let text = format!("{}\n{heartbeat}\n", header.to_json_line());
         let parsed = read_str(&text, ReadMode::Strict).unwrap();
         assert_eq!(parsed.header.as_ref(), Some(&header));
         assert_eq!(parsed.events.len(), 1);
         assert_eq!(parsed.lines, 2);
+        // Older writers could stamp a `"sample"` stride into the header;
+        // strict readers still accept such a trace and ignore the key.
+        let old = header.to_json_line().replace('}', ",\"sample\":8}");
+        let parsed = read_str(&format!("{old}\n{heartbeat}\n"), ReadMode::Strict).unwrap();
+        assert_eq!(parsed.header.as_ref(), Some(&header));
     }
 
     #[test]

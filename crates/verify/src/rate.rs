@@ -33,8 +33,6 @@ const MIN_R_SQUARED: f64 = 0.45;
 
 /// Measured error curve: `(n, e(n))` pairs over the size grid.
 pub fn measure(settings: &Settings) -> Result<Vec<(f64, f64)>, String> {
-    let spec = ModelSpec::simple_ws(0.9);
-    let fp = spec.fixed_point()?;
     // 64..512 at the quick tier: large enough that the 1/n signal at
     // the top of the grid still clears the Monte-Carlo floor of a
     // CI-sized horizon; the full tier doubles the ceiling.
@@ -42,14 +40,46 @@ pub fn measure(settings: &Settings) -> Result<Vec<(f64, f64)>, String> {
         Tier::Quick => 512,
         Tier::Full => 1_024,
     };
-    let mut points = Vec::new();
-    for n in geometric_grid(64, n_max) {
+    error_curve(
+        &ModelSpec::simple_ws(0.9),
+        &geometric_grid(64, n_max),
+        settings.runs,
+        settings.horizon,
+        settings.warmup,
+        settings.seed,
+    )
+}
+
+/// The stationary error curve of `spec` over `grid`: at each size `n`,
+/// `runs` replications seeded from `seed`, each `horizon` simulated
+/// seconds with the first `warmup` discarded, and
+/// `e(n) = max_{i∈2..4} |ŝᵢ(n) − sᵢ|` against the mean-field fixed
+/// point. Returns the `(n, e(n))` pairs in grid order.
+///
+/// The sup over s₂..s₄ is deep enough to see the tail structure and
+/// shallow enough that every grid point estimates it with usable
+/// variance at CI horizons. s₁ is left out: the busy fraction equals λ
+/// by work conservation at every n, so it carries no finite-size
+/// signal.
+///
+/// # Panics
+/// Panics if `runs == 0`, like [`replicate`].
+pub fn error_curve(
+    spec: &ModelSpec,
+    grid: &[usize],
+    runs: usize,
+    horizon: f64,
+    warmup: f64,
+    seed: u64,
+) -> Result<Vec<(f64, f64)>, String> {
+    let fp = spec.fixed_point()?;
+    let mut points = Vec::with_capacity(grid.len());
+    for &n in grid {
         let mut cfg = spec.sim_config(n).map_err(|e| e.to_string())?;
-        cfg.horizon = settings.horizon;
-        cfg.warmup = settings.warmup;
+        cfg.horizon = horizon;
+        cfg.warmup = warmup;
         cfg.validate().map_err(|e| e.to_string())?;
-        let result = replicate(&cfg, settings.runs, settings.seed);
-        let tails = result.mean_load_tails();
+        let tails = replicate(&cfg, runs, seed).mean_load_tails();
         let err = (2..=4)
             .map(|i| {
                 let sim = tails.get(i).copied().unwrap_or(0.0);
