@@ -258,14 +258,29 @@ fn companion_fixed_point(spec: &ModelSpec, rec: &mut dyn Recorder) -> Option<(St
 /// defaults to 128, the paper's largest simulated system.
 fn sim_config(a: &Args, spec: &ModelSpec) -> Result<SimConfig, String> {
     let n: usize = a.get_or("n", 128)?;
-    let mut cfg = spec.sim_config(n).map_err(|e| e.to_string())?;
+    let mut cfg = spec.sim_config(n).map_err(config_error)?;
     cfg.horizon = a.get_or("horizon", 20_000.0)?;
     cfg.warmup = a.get_or("warmup", cfg.horizon / 10.0)?;
     cfg.internal_lambda = a.get_or("internal", 0.0)?;
     cfg.heartbeat_every = a.get_or("heartbeat-every", DEFAULT_HEARTBEAT_EVERY)?;
     cfg.sample_tails = a.get::<f64>("sample-tails")?;
-    cfg.validate().map_err(|e| e.to_string())?;
+    cfg.validate().map_err(config_error)?;
     Ok(cfg)
+}
+
+/// A [`SimConfig::validate`] error, led by the flag that sets the value
+/// at fault; `--model` stands for everything the model spec sets.
+fn config_error(e: ConfigError) -> String {
+    let flag = match e {
+        ConfigError::ZeroProcessors | ConfigError::TooManyProcessors(_) => "n",
+        ConfigError::BadInternalLambda(_) => "internal",
+        ConfigError::BadHorizon(_) => "horizon",
+        ConfigError::BadWarmup { .. } => "warmup",
+        ConfigError::BadSampleInterval(_) => "sample-tails",
+        ConfigError::DrainedEndsImmediately => "initial",
+        _ => "model",
+    };
+    format!("--{flag}: {e}")
 }
 
 /// `--runs` of the simulating commands (`default` when absent): at
@@ -564,12 +579,7 @@ pub fn drain(a: &Args) -> Result<(), String> {
         rate: 8.0,
         threshold: 2,
     };
-    cfg.validate().map_err(|e| match e {
-        ConfigError::ZeroProcessors | ConfigError::TooManyProcessors(_) => format!("--n: {e}"),
-        ConfigError::BadInternalLambda(_) => format!("--internal: {e}"),
-        ConfigError::DrainedEndsImmediately => format!("--initial: {e}"),
-        _ => e.to_string(),
-    })?;
+    cfg.validate().map_err(config_error)?;
 
     let model = StaticDrain::new(0.0, internal, 4 * initial + 16)?;
     let predicted = model

@@ -160,6 +160,9 @@ fn empty_run_shapes_are_clean_errors() {
         ("drain --initial 5 --n 4 --runs 0", "--runs"),
         ("drain --initial 0 --n 4", "--initial"),
         ("drain --initial 5 --n 0", "--n"),
+        ("simulate --n 0 --horizon 10", "--n"),
+        ("simulate --n 8 --horizon 0", "--horizon"),
+        ("simulate --n 8 --horizon 10 --warmup 10", "--warmup"),
     ];
     for (args, flag) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_loadsteal"))
