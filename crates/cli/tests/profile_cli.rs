@@ -183,6 +183,49 @@ fn profile_command_prints_a_self_time_table_summing_to_wall() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Calls of the spans whose path ends in `;<leaf>` in a `loadsteal
+/// profile` table.
+fn span_calls(table: &str, leaf: &str) -> u64 {
+    let suffix = format!(";{leaf}");
+    table
+        .lines()
+        .filter_map(|l| {
+            let mut cols = l.split_whitespace();
+            let path = cols.next()?;
+            path.ends_with(&suffix)
+                .then(|| cols.next()?.parse::<u64>().ok())?
+        })
+        .sum()
+}
+
+#[test]
+fn erlang_stage_polish_needs_few_factorizations() {
+    // A grown pass warm-starts from a state whose new levels are empty;
+    // with the border's columns probed at every row, its polish
+    // converges quadratically. A probe that missed those entries took
+    // 14 and 15 factorizations here.
+    let dir = scratch_dir("factor-count");
+    for model in ["erlang-service,lambda=0.9", "threshold-erlang,lambda=0.9"] {
+        let out = loadsteal_in(&dir, &["profile", "solve", "--model", model]);
+        assert!(
+            out.status.success(),
+            "profile solve {model}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+        let factors = span_calls(&stdout, "ode.factor");
+        assert!(
+            (1..=6).contains(&factors),
+            "{model}: {factors} ode.factor calls\n{stdout}"
+        );
+        assert!(
+            span_calls(&stdout, "ode.probe") >= 1,
+            "{model}: the first probe has a span of its own\n{stdout}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn profile_command_without_inner_command_is_a_clean_error() {
     let dir = scratch_dir("noinner");

@@ -116,6 +116,32 @@ impl ErlangStages {
             self.s(y, i as usize)
         }
     }
+
+    /// `ds_i/dt` for `i ≥ 2`, term by term, with every level read through
+    /// the boundary conventions (`s_0 = 1`, `s_i = 0` past the
+    /// truncation). `steal_rate = c(s_1 − s_2)` and `q` is the stage
+    /// threshold.
+    fn level_rate(&self, y: &[f64], i: usize, steal_rate: f64, q: usize) -> f64 {
+        let c = self.stages;
+        // Arrivals add c fresh stages: any processor with ≥ i−c
+        // stages reaches ≥ i (s_0 = 1 covers i ≤ c).
+        let arrivals = self.lambda * (self.s_signed(y, i as isize - c as isize) - self.s(y, i));
+        let stage_dep = c as f64 * (self.s(y, i) - self.s(y, i + 1));
+        // Thief side: a successful steal lifts an empty processor to
+        // exactly c stages, feeding every level i ≤ c (rate
+        // steal_rate·s_q). Victim side: qualifying victims with stages
+        // in [max(i, q), i+c−1] drop below i when robbed of c stages.
+        // For i ≤ c < q the two share s_q, so take their difference
+        // in closed form rather than let s_q cancel up to rounding.
+        let steals = if i <= c {
+            steal_rate * self.s(y, q.max(i + c))
+        } else if i + c > q {
+            -steal_rate * (self.s(y, i.max(q)) - self.s(y, i + c))
+        } else {
+            0.0
+        };
+        arrivals - stage_dep + steals
+    }
 }
 
 impl OdeSystem for ErlangStages {
@@ -135,25 +161,26 @@ impl OdeSystem for ErlangStages {
         let q = self.stage_threshold();
         let sq = self.s(y, q);
         dy[0] = lambda * (1.0 - s1) - steal_rate * (1.0 - sq);
-        for i in 2..=self.levels {
-            // Arrivals add c fresh stages: any processor with ≥ i−c
-            // stages reaches ≥ i (s_0 = 1 covers i ≤ c).
-            let arrivals = lambda * (self.s_signed(y, i as isize - c as isize) - self.s(y, i));
-            let stage_dep = cf * (self.s(y, i) - self.s(y, i + 1));
-            // Thief side: a successful steal lifts an empty processor to
-            // exactly c stages, feeding every level i ≤ c (rate
-            // steal_rate·s_q). Victim side: qualifying victims with stages
-            // in [max(i, q), i+c−1] drop below i when robbed of c stages.
-            // For i ≤ c < q the two share s_q, so take their difference
-            // in closed form rather than let s_q cancel up to rounding.
-            let steals = if i <= c {
-                steal_rate * self.s(y, q.max(i + c))
-            } else if i + c > q {
-                -steal_rate * (self.s(y, i.max(q)) - self.s(y, i + c))
-            } else {
-                0.0
-            };
-            dy[i - 1] = arrivals - stage_dep + steals;
+        // Interior levels q ≤ i ≤ L − c (q > c, so i > c too) read
+        // s_{i−c}, s_i, s_{i+1} and s_{i+c}, all stored: one straight-line
+        // loop over shifted slices, the same arithmetic as `level_rate`.
+        // The boundary levels on either side go through `level_rate`.
+        let first = q.min(self.levels + 1);
+        let end = (self.levels.saturating_sub(c) + 1).max(first);
+        for i in (2..first).chain(end..=self.levels) {
+            dy[i - 1] = self.level_rate(y, i, steal_rate, q);
+        }
+        if first == end {
+            return;
+        }
+        let rows = first - 1..end - 1;
+        let below = &y[rows.start - c..rows.end - c];
+        let at = &y[rows.clone()];
+        let next = &y[rows.start + 1..rows.end + 1];
+        let above = &y[rows.start + c..rows.end + c];
+        let interior = dy[rows].iter_mut().zip(below).zip(at).zip(next).zip(above);
+        for ((((d, &lo), &s), &nx), &hi) in interior {
+            *d = lambda * (lo - s) - cf * (s - nx) - steal_rate * (s - hi);
         }
     }
 
@@ -224,6 +251,71 @@ mod tests {
 
     fn opts() -> FixedPointOptions {
         FixedPointOptions::default()
+    }
+
+    /// The per-level loop `deriv` used before its interior became one
+    /// slice loop: every level through `s`/`s_signed`, the oracle the
+    /// slice loop must match bit for bit.
+    fn reference_deriv(m: &ErlangStages, y: &[f64], dy: &mut [f64]) {
+        let lambda = m.lambda;
+        let c = m.stages;
+        let cf = c as f64;
+        let s1 = m.s(y, 1);
+        let s2 = m.s(y, 2);
+        let steal_rate = cf * (s1 - s2);
+        let q = m.stage_threshold();
+        let sq = m.s(y, q);
+        dy[0] = lambda * (1.0 - s1) - steal_rate * (1.0 - sq);
+        for i in 2..=m.levels {
+            let arrivals = lambda * (m.s_signed(y, i as isize - c as isize) - m.s(y, i));
+            let stage_dep = cf * (m.s(y, i) - m.s(y, i + 1));
+            let steals = if i <= c {
+                steal_rate * m.s(y, q.max(i + c))
+            } else if i + c > q {
+                -steal_rate * (m.s(y, i.max(q)) - m.s(y, i + c))
+            } else {
+                0.0
+            };
+            dy[i - 1] = arrivals - stage_dep + steals;
+        }
+    }
+
+    #[test]
+    fn interior_loop_matches_the_per_level_oracle_bit_for_bit() {
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut uniform = move || {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for c in [1usize, 2, 3, 7, 10, 20] {
+            for t in [2usize, 3, 4, 5, 8] {
+                let q = (t - 1) * c + 1;
+                // From the 4c floor (interior empty for T ≥ 4, short for
+                // T = 2, 3) through the edges of the interior to ≥ 300
+                // levels; below the floor only by direct construction.
+                let mut sizes = vec![1, 2, c, 2 * c, 2 * c + 1, q + c - 1, q + c, q + c + 1];
+                sizes.extend([4 * c, 4 * c + 1, 4 * c + 7, q + 2 * c, 300, 301, 12 * c + 5]);
+                for levels in sizes {
+                    let m = ErlangStages {
+                        lambda: 0.1 + 0.85 * uniform(),
+                        stages: c,
+                        threshold: t,
+                        levels,
+                    };
+                    for _ in 0..3 {
+                        let mut y: Vec<f64> = (0..m.levels).map(|_| uniform()).collect();
+                        y.sort_by(|a, b| b.total_cmp(a));
+                        let (mut fast, mut oracle) = (vec![0.0; m.levels], vec![0.0; m.levels]);
+                        m.deriv(0.0, &y, &mut fast);
+                        reference_deriv(&m, &y, &mut oracle);
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&fast), bits(&oracle), "c = {c}, T = {t}, L = {levels}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

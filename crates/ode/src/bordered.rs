@@ -18,21 +18,22 @@
 //! layout (empty core, `S = A`). A Jacobian without band structure, such
 //! as pairwise rebalancing's, is therefore factored by `Lu` exactly as a
 //! dense matrix would be.
+//!
+//! `A_CB`, `A_BC` and `A_BB` are stored densely, so a layout factors any
+//! pattern whose core entries fit its band, whatever the border's rows
+//! and columns hold: the Newton polish widens the border's columns to
+//! every row after the analysis ([`crate::newton`]).
 
 use crate::jacobian::{csr, SparseJacobian};
 use crate::linalg::{DenseMatrix, Lu, SingularMatrix};
 
-/// Where one stored Jacobian entry lands in the permuted block layout.
+/// Where one unknown lands in the permuted block layout.
 #[derive(Debug, Clone, Copy)]
-enum Slot {
-    /// Offset into the band storage of `A_CC`.
-    Band(usize),
-    /// `A_CB`, stored border column by border column (`q·n_C + r`).
-    Col(usize),
-    /// `A_BC`, stored border row by border row (`p·n_C + c`).
-    Row(usize),
-    /// `A_BB`, row-major (`p·n_B + q`).
-    Corner(usize),
+enum Pos {
+    /// Position in the core's band order.
+    Core(usize),
+    /// Position in the border.
+    Border(usize),
 }
 
 /// A bordered-banded layout for one sparsity pattern.
@@ -43,11 +44,11 @@ pub struct BorderedBanded {
     core: Vec<usize>,
     /// Border unknowns, ascending.
     border: Vec<usize>,
+    /// Where each unknown lands.
+    pos: Vec<Pos>,
     /// Lower and upper half-bandwidths of `A_CC` in band order.
     kl: usize,
     ku: usize,
-    /// Destination of each stored entry, in the Jacobian's CSC order.
-    slots: Vec<Slot>,
 }
 
 impl BorderedBanded {
@@ -82,13 +83,12 @@ impl BorderedBanded {
                 best = Some((cost, layout));
             }
         }
-        let (_, mut layout) = best.expect("at least the all-dense layout");
-        layout.assign_slots(jac);
+        let (_, layout) = best.expect("at least the all-dense layout");
         layout
     }
 
     /// The layout with `border` as the dense unknowns and the rest in
-    /// reverse Cuthill–McKee order (slots not yet assigned).
+    /// reverse Cuthill–McKee order.
     fn with_border(jac: &SparseJacobian, graph: &Graph, border: &[usize]) -> Self {
         let n = jac.order();
         let mut in_border = vec![false; n];
@@ -98,17 +98,20 @@ impl BorderedBanded {
         let mut border = border.to_vec();
         border.sort_unstable();
         let core = graph.reverse_cuthill_mckee(&in_border);
-        let mut pos = vec![usize::MAX; n];
+        let mut pos = vec![Pos::Border(0); n];
+        for (p, &v) in border.iter().enumerate() {
+            pos[v] = Pos::Border(p);
+        }
         for (r, &v) in core.iter().enumerate() {
-            pos[v] = r;
+            pos[v] = Pos::Core(r);
         }
         let (mut kl, mut ku) = (0, 0);
         for (i, j, _) in jac.entries() {
-            if pos[i] != usize::MAX && pos[j] != usize::MAX {
-                if pos[i] > pos[j] {
-                    kl = kl.max(pos[i] - pos[j]);
+            if let (Pos::Core(r), Pos::Core(c)) = (pos[i], pos[j]) {
+                if r > c {
+                    kl = kl.max(r - c);
                 } else {
-                    ku = ku.max(pos[j] - pos[i]);
+                    ku = ku.max(c - r);
                 }
             }
         }
@@ -116,9 +119,9 @@ impl BorderedBanded {
             n,
             core,
             border,
+            pos,
             kl,
             ku,
-            slots: Vec::new(),
         }
     }
 
@@ -132,29 +135,6 @@ impl BorderedBanded {
             + nb * nc * (2.0 * kl + ku + 1.0)
             + nb * nb * nc
             + nb * nb * nb / 3.0
-    }
-
-    fn assign_slots(&mut self, jac: &SparseJacobian) {
-        const NONE: usize = usize::MAX;
-        let (nc, nb) = (self.core.len(), self.border.len());
-        let mut core_pos = vec![NONE; self.n];
-        for (r, &v) in self.core.iter().enumerate() {
-            core_pos[v] = r;
-        }
-        let mut border_pos = vec![NONE; self.n];
-        for (p, &v) in self.border.iter().enumerate() {
-            border_pos[v] = p;
-        }
-        let width = self.band_width();
-        self.slots = jac
-            .entries()
-            .map(|(i, j, _)| match (core_pos[i], core_pos[j]) {
-                (NONE, NONE) => Slot::Corner(border_pos[i] * nb + border_pos[j]),
-                (NONE, c) => Slot::Row(border_pos[i] * nc + c),
-                (r, NONE) => Slot::Col(border_pos[j] * nc + r),
-                (r, c) => Slot::Band(r * width + c + self.kl - r),
-            })
-            .collect();
     }
 
     /// Stored entries per band row: `kl` sub-diagonals, the diagonal, and
@@ -185,26 +165,34 @@ impl BorderedBanded {
         (self.kl, self.ku)
     }
 
-    /// Factor `jac`, which must carry the pattern this layout was
-    /// analysed from. The failing column is reported in original
-    /// numbering.
+    /// Factor `jac`: the pattern this layout was analysed from, or one
+    /// that adds entries only in the border's rows and columns. The
+    /// failing column is reported in original numbering.
     ///
     /// # Panics
-    /// Panics if `jac` has a different number of entries than the
-    /// analysed pattern.
+    /// Panics if `jac` is of another order, or has an entry between core
+    /// unknowns outside the analysed band.
     pub fn factor(&self, jac: &SparseJacobian) -> Result<BorderedLu<'_>, SingularMatrix> {
-        assert_eq!(jac.nnz(), self.slots.len(), "pattern differs from layout");
+        assert_eq!(jac.order(), self.n, "pattern differs from layout");
         let (nc, nb) = (self.core.len(), self.border.len());
-        let mut band = vec![0.0; nc * self.band_width()];
+        let width = self.band_width();
+        let mut band = vec![0.0; nc * width];
+        // A_CB column by column, A_BC row by row, A_BB row-major.
         let mut cols = vec![0.0; nc * nb];
         let mut rows = vec![0.0; nb * nc];
         let mut corner = vec![0.0; nb * nb];
-        for (slot, (_, _, v)) in self.slots.iter().zip(jac.entries()) {
-            match *slot {
-                Slot::Band(k) => band[k] = v,
-                Slot::Col(k) => cols[k] = v,
-                Slot::Row(k) => rows[k] = v,
-                Slot::Corner(k) => corner[k] = v,
+        for (i, j, v) in jac.entries() {
+            match (self.pos[i], self.pos[j]) {
+                (Pos::Core(r), Pos::Core(c)) => {
+                    assert!(
+                        r <= c + self.kl && c <= r + self.ku,
+                        "pattern differs from layout"
+                    );
+                    band[r * width + c + self.kl - r] = v;
+                }
+                (Pos::Core(r), Pos::Border(q)) => cols[q * nc + r] = v,
+                (Pos::Border(p), Pos::Core(c)) => rows[p * nc + c] = v,
+                (Pos::Border(p), Pos::Border(q)) => corner[p * nb + q] = v,
             }
         }
         let mut piv = vec![0; nc];

@@ -9,6 +9,14 @@
 //! truncated mean-field families couple each level to a few neighbours
 //! plus a few global scalars, which takes a Jacobian from `n`
 //! evaluations to a handful.
+//!
+//! A probe misses every entry that vanished at the probe point, and a
+//! warm start from a shorter truncation has a zero tail, where the
+//! global scalars' columns vanish row after row. So once the Newton
+//! polish has moved those columns to the dense border
+//! ([`crate::bordered`]), it widens each of them to every row
+//! (`SparseJacobian::widen_columns`). Each border column has a colour of
+//! its own, so a widened column still costs one evaluation per refill.
 
 use crate::linalg::DenseMatrix;
 
@@ -30,9 +38,10 @@ pub struct SparseJacobian {
 }
 
 impl SparseJacobian {
-    /// Probe `∂F/∂x` at `x` (with `fx = F(x)`) one column at a time and
-    /// keep every nonzero difference: `n` evaluations of `F`. The entries
-    /// equal the dense forward-difference Jacobian's bit for bit.
+    /// Probe `∂F/∂x` at `x` (with `fx = F(x)`, finite) one column at a
+    /// time and keep every nonzero difference: `n` evaluations of `F`. The
+    /// entries equal the dense forward-difference Jacobian's bit for bit;
+    /// only rows whose value moved pay for a division ([`push_moved`]).
     pub fn probe(
         mut f: impl FnMut(&[f64], &mut [f64]),
         x: &[f64],
@@ -50,13 +59,7 @@ impl SparseJacobian {
             x_pert[j] = x[j] + h;
             f(&x_pert, &mut f_pert);
             x_pert[j] = x[j];
-            for (i, (&a, &b)) in f_pert.iter().zip(fx).enumerate() {
-                let d = (a - b) / h;
-                if d != 0.0 {
-                    rows.push(i);
-                    vals.push(d);
-                }
-            }
+            push_moved(&f_pert, fx, h, &mut rows, &mut vals);
             col_start.push(rows.len());
         }
         Self {
@@ -92,7 +95,8 @@ impl SparseJacobian {
 
     /// Recompute every pattern entry at `x` (with `fx = F(x)`) by
     /// perturbing each colour group at once: one evaluation of `F` per
-    /// colour. Rows outside the pattern are assumed not to move.
+    /// colour. Rows outside the pattern are assumed not to move; a
+    /// widened column has none.
     pub fn refill(
         &mut self,
         mut f: impl FnMut(&[f64], &mut [f64]),
@@ -124,9 +128,9 @@ impl SparseJacobian {
     /// that no column sharing one of their rows holds.
     ///
     /// Dense columns belong in `alone`: they share rows with nearly every
-    /// column anyway, and their probed pattern is the likeliest to miss
-    /// entries that vanished at the probe point (rows whose state was
-    /// zero there), which a shared colour would then pick up.
+    /// column anyway, and a refill then reads every row of theirs from an
+    /// evaluation that moved no other column, which is what lets the
+    /// Newton polish widen them to every row.
     pub fn colour(&self, alone: &[usize]) -> Colouring {
         let n = self.n;
         let (row_start, row_cols) = self.transpose();
@@ -159,14 +163,42 @@ impl SparseJacobian {
         Colouring { start, cols }
     }
 
+    /// Widen each column in `cols` to every row. Entries the pattern did
+    /// not hold are stored as `0.0`, which is what the probe measured
+    /// there; the next [`Self::refill`] fills them in, exactly when each
+    /// widened column has a colour of its own.
+    pub(crate) fn widen_columns(&mut self, cols: &[usize]) {
+        let n = self.n;
+        let mut wide = vec![false; n];
+        for &j in cols {
+            wide[j] = true;
+        }
+        let mut col_start = Vec::with_capacity(n + 1);
+        col_start.push(0);
+        let mut rows = Vec::with_capacity(self.rows.len() + cols.len() * n);
+        let mut vals = Vec::with_capacity(rows.capacity());
+        for (j, &wide) in wide.iter().enumerate() {
+            if wide {
+                let start = vals.len();
+                rows.extend(0..n);
+                vals.resize(start + n, 0.0);
+                for (&i, &v) in self.column_rows(j).iter().zip(self.column_values(j)) {
+                    vals[start + i] = v;
+                }
+            } else {
+                rows.extend_from_slice(self.column_rows(j));
+                vals.extend_from_slice(self.column_values(j));
+            }
+            col_start.push(rows.len());
+        }
+        self.col_start = col_start;
+        self.rows = rows;
+        self.vals = vals;
+    }
+
     /// Order `n` of the (square) Jacobian.
     pub(crate) fn order(&self) -> usize {
         self.n
-    }
-
-    /// Number of stored entries.
-    pub(crate) fn nnz(&self) -> usize {
-        self.rows.len()
     }
 
     /// Rows of column `j`'s pattern, ascending.
@@ -202,6 +234,41 @@ impl SparseJacobian {
     fn transpose(&self) -> (Vec<usize>, Vec<usize>) {
         csr(self.n, || self.entries().map(|(i, j, _)| (i, j)))
     }
+}
+
+/// Append `(i, (a_i − b_i)/h)` to `rows` and `vals` for every `i` where
+/// that quotient is nonzero; `b` must be finite. A probed column moves
+/// few rows, so blocks of eight are compared first, without branches
+/// (which vectorises), and only a block where a row moved is visited row
+/// by row.
+#[inline]
+fn push_moved(a: &[f64], b: &[f64], h: f64, rows: &mut Vec<usize>, vals: &mut Vec<f64>) {
+    const BLOCK: usize = 8;
+    let mut visit = |start: usize, a: &[f64], b: &[f64]| {
+        for (i, (&a, &b)) in (start..).zip(a.iter().zip(b)) {
+            if a != b {
+                let d = (a - b) / h;
+                if d != 0.0 {
+                    rows.push(i);
+                    vals.push(d);
+                }
+            }
+        }
+    };
+    let whole = a.len() - a.len() % BLOCK;
+    let blocks = a[..whole]
+        .chunks_exact(BLOCK)
+        .zip(b[..whole].chunks_exact(BLOCK));
+    for (start, (a8, b8)) in (0..).step_by(BLOCK).zip(blocks) {
+        let mut moved = false;
+        for k in 0..BLOCK {
+            moved |= a8[k] != b8[k];
+        }
+        if moved {
+            visit(start, a8, b8);
+        }
+    }
+    visit(whole, &a[whole..], &b[whole..]);
 }
 
 /// Counting sort of `(key, value)` pairs with keys in `0..keys` into
@@ -264,7 +331,7 @@ mod tests {
         let jac = SparseJacobian::probe(arrow, &x, &fx, 1e-7);
         assert_eq!(jac.column_rows(0), &[0, 1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(jac.column_rows(4), &[3, 4, 5]);
-        assert_eq!(jac.nnz(), 8 + 2 + 3 * 6);
+        assert_eq!(jac.entries().count(), 8 + 2 + 3 * 6);
     }
 
     #[test]

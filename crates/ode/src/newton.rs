@@ -12,12 +12,24 @@
 //! ([`crate::jacobian`]); later iterations refill the pattern with one
 //! evaluation per column colour, and every Jacobian is factored as a band
 //! plus a dense border ([`crate::bordered`]).
+//!
+//! The border's columns are widened to every row right after the probe.
+//! A warm start from a shorter truncation has empty new levels, where
+//! the global scalars' columns vanish; a pattern without those entries
+//! refills a Jacobian that lacks them wherever the levels fill in, and
+//! the polish converges only linearly. The factor stores the border
+//! densely and each border column has a colour of its own, so the
+//! widened entries cost no extra evaluation.
 
 use loadsteal_obs::span::span;
 
 use crate::bordered::BorderedBanded;
 use crate::jacobian::{Colouring, SparseJacobian};
 use crate::norms::max_abs;
+
+/// What every Jacobian of one solve shares: its pattern (holding the
+/// latest values), layout and colouring.
+type Structure = (SparseJacobian, BorderedBanded, Colouring);
 
 /// Options for [`newton_solve`].
 #[derive(Debug, Clone, Copy)]
@@ -134,8 +146,9 @@ impl std::error::Error for NewtonError {}
 ///
 /// `f(x, out)` writes `F(x)` into `out` (same length as `x`). The first
 /// Jacobian is approximated column by column with forward differences,
-/// which also records its sparsity pattern; later ones refill that
-/// pattern with one evaluation per Curtis–Powell–Reid column colour.
+/// which also records its sparsity pattern (the dense border's columns
+/// widened to every row); later ones refill that pattern with one
+/// evaluation per Curtis–Powell–Reid column colour.
 /// Each Jacobian is factored as a reverse Cuthill–McKee band with a dense
 /// border ([`BorderedBanded`]), and each Newton step is damped by
 /// backtracking until the residual decreases (Armijo-free monotone
@@ -156,7 +169,7 @@ pub fn newton_solve(
         return Err(NewtonError::NonFinite);
     }
     let mut res = max_abs(&fx);
-    let mut structure: Option<(SparseJacobian, BorderedBanded, Colouring)> = None;
+    let mut structure: Option<Structure> = None;
 
     for iter in 0..opts.max_iters {
         if res < opts.tol {
@@ -169,18 +182,7 @@ pub fn newton_solve(
             let _span = span("ode.jacobian");
             match &mut structure {
                 Some((jac, _, colouring)) => jac.refill(&mut f, x, &fx, opts.fd_eps, colouring),
-                None => {
-                    let jac = SparseJacobian::probe(&mut f, x, &fx, opts.fd_eps);
-                    let layout = BorderedBanded::analyse(&jac);
-                    if layout.dense_dim() > opts.max_dense_dim {
-                        return Err(NewtonError::TooDense {
-                            dense: layout.dense_dim(),
-                            limit: opts.max_dense_dim,
-                        });
-                    }
-                    let colouring = jac.colour(layout.border());
-                    structure = Some((jac, layout, colouring));
-                }
+                None => structure = Some(first_jacobian(&mut f, x, &fx, opts)?),
             }
         }
         let (jac, layout, _) = structure.as_ref().expect("probed above");
@@ -233,9 +235,91 @@ pub fn newton_solve(
     Err(NewtonError::MaxIterations { residual: res })
 }
 
+/// The first Jacobian of a solve at `x` (with `fx = F(x)`): probed
+/// column by column, laid out as band plus border, the border's columns
+/// widened to every row (see the [module docs](self)), and coloured with
+/// one colour per border column.
+fn first_jacobian(
+    f: impl FnMut(&[f64], &mut [f64]),
+    x: &[f64],
+    fx: &[f64],
+    opts: &NewtonOptions,
+) -> Result<Structure, NewtonError> {
+    let _span = span("ode.probe");
+    let mut jac = SparseJacobian::probe(f, x, fx, opts.fd_eps);
+    let layout = BorderedBanded::analyse(&jac);
+    if layout.dense_dim() > opts.max_dense_dim {
+        return Err(NewtonError::TooDense {
+            dense: layout.dense_dim(),
+            limit: opts.max_dense_dim,
+        });
+    }
+    jac.widen_columns(layout.border());
+    let colouring = jac.colour(layout.border());
+    Ok((jac, layout, colouring))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A chain of levels `x₁ … x_m` behind a global scalar `x₀` that also
+    /// drains every level, so `∂F_i/∂x₀ = −x_i/20` is exactly zero
+    /// wherever a level is. Row 0 closes the loop through the last level.
+    fn chain(x: &[f64], out: &mut [f64]) {
+        let m = x.len() - 1;
+        out[0] = x[0] - 0.5 - 0.5 * x[m];
+        for i in 1..=m {
+            out[i] = x[i - 1] - (1.0 + 0.05 * x[0]) * x[i];
+        }
+    }
+
+    /// 41 unknowns on the chain's geometric profile, with every level
+    /// from `zero_from` on set to zero.
+    fn chain_state(zero_from: usize) -> Vec<f64> {
+        (0..41)
+            .map(|i| {
+                if i < zero_from {
+                    0.6 * 0.97f64.powi(i as i32)
+                } else {
+                    0.0
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn refill_restores_border_entries_that_vanished_at_the_probe() {
+        let n = 41;
+        let (x0, x1) = (chain_state(20), chain_state(n));
+        let (mut f0, mut f1) = (vec![0.0; n], vec![0.0; n]);
+        chain(&x0, &mut f0);
+        chain(&x1, &mut f1);
+        let probed = SparseJacobian::probe(chain, &x0, &f0, 1e-7);
+        assert_eq!(
+            probed.to_dense()[(30, 0)],
+            0.0,
+            "the tail hides x₀'s column"
+        );
+        let (mut jac, layout, colouring) =
+            first_jacobian(chain, &x0, &f0, &NewtonOptions::default()).unwrap();
+        assert_eq!(layout.border(), &[0]);
+        jac.refill(chain, &x1, &f1, 1e-7, &colouring);
+        let fresh = SparseJacobian::probe(chain, &x1, &f1, 1e-7);
+        assert_ne!(fresh.to_dense()[(30, 0)], 0.0);
+        assert_eq!(jac.to_dense(), fresh.to_dense());
+    }
+
+    #[test]
+    fn polish_from_an_empty_tail_converges_quadratically() {
+        let mut x = chain_state(20);
+        let report = newton_solve(chain, &mut x, &NewtonOptions::default()).unwrap();
+        assert!(report.iterations <= 6, "{report:?}");
+        let mut f = vec![0.0; x.len()];
+        chain(&x, &mut f);
+        assert!(max_abs(&f) < 1e-13);
+        assert!(x[40] > 0.1, "the tail filled in: {}", x[40]);
+    }
 
     #[test]
     fn solves_scalar_quadratic() {
@@ -310,6 +394,21 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, NewtonError::SingularJacobian { .. }));
+    }
+
+    #[test]
+    fn nan_trial_steps_are_rejected() {
+        // The full step from x = 1 lands at x = −0.8, where F is NaN; the
+        // line search must shrink it rather than take NaN for zero.
+        let mut x = vec![1.0];
+        let report = newton_solve(
+            |v, out| out[0] = v[0].sqrt() - 0.1,
+            &mut x,
+            &NewtonOptions::default(),
+        )
+        .unwrap();
+        assert!((x[0] - 0.01).abs() < 1e-12, "x = {}", x[0]);
+        assert!(report.residual < 1e-13, "{report:?}");
     }
 
     #[test]

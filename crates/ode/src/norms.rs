@@ -1,9 +1,18 @@
 //! Small vector-norm helpers shared by the solvers.
 
-/// Maximum absolute value (`ℓ∞` norm). Returns `0.0` for an empty slice.
+/// Maximum absolute value (`ℓ∞` norm). Returns `0.0` for an empty slice
+/// and NaN when any entry is NaN, so a residual that went NaN never
+/// reads as converged.
 #[inline]
 pub fn max_abs(v: &[f64]) -> f64 {
-    v.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
+    v.iter().fold(0.0_f64, |m, &x| {
+        let a = x.abs();
+        if m.is_nan() || m >= a {
+            m
+        } else {
+            a
+        }
+    })
 }
 
 /// Sum of absolute values (`ℓ₁` norm).
@@ -59,6 +68,14 @@ mod tests {
         assert_eq!(max_abs(&v), 4.0);
         assert_eq!(l1(&v), 7.0);
         assert!((l2(&v) - 5.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn max_abs_propagates_nan() {
+        assert!(max_abs(&[f64::NAN]).is_nan());
+        assert!(max_abs(&[1.0, f64::NAN, 2.0]).is_nan());
+        assert!(max_abs(&[f64::NAN, 3.0]).is_nan());
+        assert_eq!(max_abs(&[-f64::INFINITY, 1.0]), f64::INFINITY);
     }
 
     #[test]

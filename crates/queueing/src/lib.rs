@@ -5,10 +5,12 @@
 //! mean-field analysis need:
 //!
 //! * [`dist`] — service/arrival time distributions with exact moments and
-//!   inverse-transform samplers (Exponential, Deterministic, Erlang-k,
-//!   Hyperexponential, Uniform). Erlang-k is the "method of stages"
-//!   distribution used in Section 3.1 of the paper to approximate
-//!   constant service times.
+//!   exact samplers (Exponential, Deterministic, Erlang-k,
+//!   Hyperexponential, Uniform): exponential and hyperexponential draws
+//!   go through the ziggurat in [`zig`], Erlang-k through the
+//!   product-of-uniforms form of k inversions. Erlang-k is the "method
+//!   of stages" distribution used in Section 3.1 of the paper to
+//!   approximate constant service times.
 //! * [`mm1`] — closed forms for the uncoupled baseline: M/M/1 occupancy
 //!   tails `P(N ≥ i) = ρ^i`, sojourn times, and the M/D/1
 //!   Pollaczek–Khinchine mean for the constant-service comparison.
