@@ -7,7 +7,7 @@
 
 use loadsteal_bench::{print_header, print_row, Protocol};
 use loadsteal_core::fixed_point::{solve, FixedPointOptions};
-use loadsteal_core::models::MultiSteal;
+use loadsteal_core::models::GeneralWs;
 use loadsteal_sim::{SimConfig, StealPolicy};
 
 fn main() {
@@ -20,7 +20,7 @@ fn main() {
             &["k", "Estimate W", "Sim(128) W"],
         );
         for k in 1..=threshold / 2 {
-            let m = MultiSteal::new(lambda, k, threshold).expect("valid");
+            let m = GeneralWs::new(lambda, threshold, 1, k).expect("valid");
             let est = solve(&m, &opts).expect("fp").mean_time_in_system;
             let mut cfg = SimConfig::paper_default(128, lambda);
             cfg.policy = StealPolicy::OnEmpty {

@@ -7,7 +7,7 @@
 
 use loadsteal_bench::{print_header, print_row, Protocol};
 use loadsteal_core::fixed_point::{solve, FixedPointOptions};
-use loadsteal_core::models::MultiChoice;
+use loadsteal_core::models::GeneralWs;
 use loadsteal_sim::{SimConfig, StealPolicy};
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
             cells.push(protocol.mean_sojourn(cfg, seed));
         }
         for d in [2u32, 1] {
-            let m = MultiChoice::new(lambda, d, 2).expect("valid");
+            let m = GeneralWs::new(lambda, 2, d, 1).expect("valid");
             cells.push(solve(&m, &opts).expect("fixed point").mean_time_in_system);
         }
         print_row(&cells);

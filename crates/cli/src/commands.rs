@@ -23,6 +23,7 @@ use loadsteal_verify::rate::error_curve;
 
 use crate::args::Args;
 use crate::obs::{manifest, say, Narrator, ObsOpts, OBS_FLAGS};
+use crate::stdout::{self, out, outln};
 
 /// The flags [`model_spec`] reads.
 const MODEL_FLAGS: &[&str] = &["model", "lambda"];
@@ -206,10 +207,10 @@ pub fn tails(a: &Args) -> Result<(), String> {
     let model = spec.mean_field().map_err(|e| e.to_string())?;
     let name = model.name();
     let fp = solve_fp(&model, &FixedPointOptions::default()).map_err(|e| e.to_string())?;
-    println!("model: {name}");
-    println!("{:>4} {:>14}", "i", "s_i");
+    outln!("model: {name}");
+    outln!("{:>4} {:>14}", "i", "s_i");
     for i in 0..=levels {
-        println!(
+        outln!(
             "{i:>4} {:>14.8}",
             fp.task_tails.get(i).copied().unwrap_or(0.0)
         );
@@ -486,7 +487,7 @@ pub fn converge(a: &Args) -> Result<(), String> {
 
     let fit = fit_power_law(&points).ok_or("could not fit a slope (degenerate or zero errors)")?;
     // The grep-able verdict line, also the CI smoke target.
-    println!(
+    outln!(
         "convergence slope: {:.3} (R² {:.3}, {} sizes, target −1 for Θ(1/n))",
         fit.slope,
         fit.r_squared,
@@ -524,7 +525,7 @@ pub fn stability(a: &Args) -> Result<(), String> {
     // The trajectories start from loaded states, so they run at the
     // model's own λⁱ-sized truncation; the solver sized the fixed point's.
     let fixed = m.embed_state(&fp.state);
-    println!(
+    outln!(
         "Theorem 1 hypothesis π₂ < 1/2: {} (π₂ = {:.4})",
         if theorem_condition_holds(lambda) {
             "holds"
@@ -546,7 +547,7 @@ pub fn stability(a: &Args) -> Result<(), String> {
     ] {
         let rep =
             check_l1_contraction(&m, &start, &fixed, 1e-6, t_max).map_err(|e| e.to_string())?;
-        println!(
+        outln!(
             "start {name:>16}: D₀ = {:.4}, max increase {:.2e}, converged at {}, decay γ ≈ {}",
             rep.initial_distance,
             rep.max_increase,
@@ -585,9 +586,9 @@ pub fn drain(a: &Args) -> Result<(), String> {
     let predicted = model
         .drain_time(initial, 1e-3, 1e6)
         .map_err(|e| e.to_string())?;
-    println!("mean-field drain time (n → ∞): {predicted:.2}");
+    outln!("mean-field drain time (n → ∞): {predicted:.2}");
     let result = replicate(&cfg, runs, seed);
-    println!(
+    outln!(
         "simulated makespan (n = {n}, {runs} runs): {:.2} ± {:.2}",
         result.makespan_mean.mean(),
         result.makespan_mean.confidence_interval(0.95).half_width
@@ -769,7 +770,7 @@ pub fn report(a: &Args) -> Result<(), String> {
             fp.mean_time_in_system,
         ))
     });
-    print!("{}", loadsteal_trace::render_report(&tl, pred.as_ref()));
+    out!("{}", loadsteal_trace::render_report(&tl, pred.as_ref()));
     Ok(())
 }
 
@@ -786,7 +787,7 @@ pub fn jobs(a: &Args) -> Result<(), String> {
             "warning: trace contains no job_* events — was the run started with --trace-jobs?"
         );
     }
-    print!("{}", loadsteal_trace::render_jobs(&analysis));
+    out!("{}", loadsteal_trace::render_jobs(&analysis));
     Ok(())
 }
 
@@ -824,7 +825,7 @@ pub fn transient(a: &Args) -> Result<(), String> {
 
     let groups = transient::group_by_time(&transient::extract_samples(&parsed.events));
     let Some((dt, t_end)) = transient::grid_of(&groups) else {
-        println!("no tail samples in trace (run simulate with --sample-tails <dt>)");
+        outln!("no tail samples in trace (run simulate with --sample-tails <dt>)");
         return Ok(());
     };
 
@@ -869,7 +870,7 @@ pub fn transient(a: &Args) -> Result<(), String> {
     if a.raw("metrics-json") == Some("-") {
         eprint!("{}", loadsteal_trace::render_transient(&analysis));
     } else {
-        print!("{}", loadsteal_trace::render_transient(&analysis));
+        out!("{}", loadsteal_trace::render_transient(&analysis));
     }
 
     // The drift verdict doubles as a machine-readable document: the
@@ -900,7 +901,7 @@ pub fn transient(a: &Args) -> Result<(), String> {
             .config("epsilon", opts.epsilon);
         let doc = m.to_run_document(&reg.snapshot());
         if out == "-" {
-            println!("{doc}");
+            outln!("{doc}");
         } else {
             std::fs::write(out, format!("{doc}\n"))
                 .map_err(|e| format!("--metrics-json: cannot write {out:?}: {e}"))?;
@@ -915,9 +916,12 @@ pub fn transient(a: &Args) -> Result<(), String> {
 pub fn models(a: &Args) -> Result<(), String> {
     a.ensure_known(&["lambda"])?;
     let lambda = a.get::<f64>("lambda")?;
-    println!(
+    outln!(
         "{:<17} {:<6} {:<12} {:>10}  spec",
-        "name", "tier", "section", "tail ratio"
+        "name",
+        "tier",
+        "section",
+        "tail ratio"
     );
     for p in ModelRegistry::standard().presets() {
         let spec = match lambda {
@@ -938,9 +942,13 @@ pub fn models(a: &Args) -> Result<(), String> {
             PresetTier::Quick => "quick",
             PresetTier::Full => "full",
         };
-        println!(
+        outln!(
             "{:<17} {:<6} {:<12} {:>10}  {}",
-            p.name, tier, p.section, ratio, spec
+            p.name,
+            tier,
+            p.section,
+            ratio,
+            spec
         );
     }
     Ok(())
@@ -962,7 +970,7 @@ pub fn verify(a: &Args) -> Result<(), String> {
         loadsteal_verify::Settings::quick(seed)
     };
     let filter = a.raw("filter");
-    println!(
+    outln!(
         "verify: {} tier, seed {seed}, n = {}, {} runs × {} s per differential check",
         if a.switch("full") { "full" } else { "quick" },
         settings.n,
@@ -976,7 +984,7 @@ pub fn verify(a: &Args) -> Result<(), String> {
             filter.unwrap_or_default()
         ));
     }
-    print!("{}", report.render());
+    out!("{}", report.render());
     if report.passed() {
         Ok(())
     } else {
@@ -1076,11 +1084,8 @@ fn serve_metrics(
     // The bound address line is a contract: with `--prom-addr host:0`
     // it is the only way callers learn the chosen port. Flush past any
     // pipe buffering.
-    {
-        let mut so = std::io::stdout();
-        let _ = writeln!(so, "serving Prometheus metrics at http://{local}/metrics");
-        let _ = so.flush();
-    }
+    outln!("serving Prometheus metrics at http://{local}/metrics");
+    stdout::flush();
     listener
         .set_nonblocking(true)
         .map_err(|e| format!("--prom-addr: {e}"))?;

@@ -13,9 +13,12 @@
 mod args;
 mod commands;
 mod obs;
+mod stdout;
 mod top;
 
 use std::process::ExitCode;
+
+use stdout::{out, outln};
 
 /// Value-less boolean flags, recognized by every subcommand.
 const SWITCHES: &[&str] = &[
@@ -107,7 +110,7 @@ fn main() -> ExitCode {
             "top" => top::top(&parsed),
             "verify" => commands::verify(&parsed),
             "help" | "--help" | "-h" => {
-                println!("{USAGE}");
+                outln!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             other => Err(format!("unknown command {other:?}\n\n{USAGE}")),
@@ -127,7 +130,7 @@ fn main() -> ExitCode {
             }
         }
         if profile_report {
-            print!("{}", commands::render_profile(&report, wall_ms));
+            out!("{}", commands::render_profile(&report, wall_ms));
         }
     }
     match result {

@@ -11,6 +11,7 @@ use loadsteal_obs::{
 };
 
 use crate::args::Args;
+use crate::stdout::outln;
 
 /// Flags handled by this module; commands append them to their own
 /// known-flag lists.
@@ -98,7 +99,7 @@ impl ObsOpts {
         };
         let doc = manifest.to_run_document(report);
         if dest == "-" {
-            println!("{doc}");
+            outln!("{doc}");
             Ok(())
         } else {
             std::fs::write(dest, format!("{doc}\n"))
@@ -208,7 +209,7 @@ impl Narrator {
         if self.to_stderr {
             eprintln!("{args}");
         } else {
-            println!("{args}");
+            outln!("{args}");
         }
     }
 }

@@ -18,6 +18,7 @@ use loadsteal_exec::WorkerStats;
 
 use crate::args::Args;
 use crate::commands::{stealbench_config, STEALBENCH_FLAGS};
+use crate::stdout::{self, out, outln};
 
 /// `loadsteal top` entry point: run the bench untraced and poll its
 /// pool directly.
@@ -80,7 +81,7 @@ pub fn top(a: &Args) -> Result<(), String> {
         .map_err(|_| "stealbench driver panicked".to_string())?;
     if let Ok(bench) = Arc::try_unwrap(bench) {
         let outcome = bench.finish();
-        println!(
+        outln!(
             "done: {} submitted, {} completed, steal hit rate {:.4}",
             outcome.submitted,
             outcome.completed,
@@ -94,14 +95,13 @@ pub fn top(a: &Args) -> Result<(), String> {
 /// table row per worker. Live mode clears the screen first (plain ANSI,
 /// no cursor tricks); `--once` prints the bare table.
 fn emit_frame(header: &str, totals: &str, per: &[WorkerStats], once: bool) {
-    use std::io::Write as _;
-    let mut out = String::new();
+    let mut frame = String::new();
     if !once {
         // Clear screen + home — the whole "TUI".
-        out.push_str("\x1b[2J\x1b[H");
+        frame.push_str("\x1b[2J\x1b[H");
     }
-    out.push_str(&format!("{header}\n{totals}\n"));
-    out.push_str(&format!(
+    frame.push_str(&format!("{header}\n{totals}\n"));
+    frame.push_str(&format!(
         "{:>6}  {:>5}  {:>5}  {:>8}  {:>8}  {:>6}  {:>5}  {}\n",
         "WORKER", "DEQUE", "INBOX", "PROBES", "STEALS", "HIT%", "PARKS", "STATE"
     ));
@@ -111,14 +111,13 @@ fn emit_frame(header: &str, totals: &str, per: &[WorkerStats], once: bool) {
             n => format!("{:.1}", 100.0 * w.steal_successes as f64 / n as f64),
         };
         let state = if w.busy { "busy" } else { "idle" };
-        out.push_str(&format!(
+        frame.push_str(&format!(
             "{i:>6}  {:>5}  {:>5}  {:>8}  {:>8}  {hit:>6}  {:>5}  {state}\n",
             w.queue_depth, w.inbox_depth, w.steal_attempts, w.steal_successes, w.parks
         ));
     }
-    let mut so = std::io::stdout();
-    let _ = so.write_all(out.as_bytes());
-    let _ = so.flush();
+    out!("{frame}");
+    stdout::flush();
 }
 
 #[cfg(test)]

@@ -84,6 +84,33 @@ fn tails_prints_monotone_levels() {
     }
 }
 
+/// A reader that stops early (`loadsteal tails … | head -1`) ends the
+/// command with exit 0 and a quiet stderr, not a panic (exit 101).
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    // ~2 MB of output: the pipe buffer fills, so the command is still
+    // writing when the reader leaves.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_loadsteal"))
+        .args(["tails", "--levels", "100000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn loadsteal tails");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .expect("first line");
+    assert!(first.starts_with("model:"), "{first:?}");
+    // The reader, and with it the pipe's read end, is gone here.
+    let out = child.wait_with_output().expect("tails exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
 #[test]
 fn simulate_runs_a_short_experiment() {
     let (ok, stdout, stderr) = loadsteal(&[

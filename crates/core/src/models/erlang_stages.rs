@@ -25,7 +25,7 @@ use loadsteal_ode::OdeSystem;
 
 use crate::tail::{truncation_for_ratio, TailVector};
 
-use super::{check_lambda, MeanFieldModel};
+use super::{check_lambda, s, MeanFieldModel};
 
 /// Most stage levels a model may start from; at 8 or more levels per
 /// stage, this caps `c` at 7500.
@@ -98,22 +98,11 @@ impl ErlangStages {
     }
 
     #[inline]
-    fn s(&self, y: &[f64], i: usize) -> f64 {
-        if i == 0 {
-            1.0
-        } else if i <= y.len() {
-            y[i - 1]
-        } else {
-            0.0
-        }
-    }
-
-    #[inline]
     fn s_signed(&self, y: &[f64], i: isize) -> f64 {
         if i <= 0 {
             1.0
         } else {
-            self.s(y, i as usize)
+            s(y, i as usize)
         }
     }
 
@@ -125,8 +114,8 @@ impl ErlangStages {
         let c = self.stages;
         // Arrivals add c fresh stages: any processor with ≥ i−c
         // stages reaches ≥ i (s_0 = 1 covers i ≤ c).
-        let arrivals = self.lambda * (self.s_signed(y, i as isize - c as isize) - self.s(y, i));
-        let stage_dep = c as f64 * (self.s(y, i) - self.s(y, i + 1));
+        let arrivals = self.lambda * (self.s_signed(y, i as isize - c as isize) - s(y, i));
+        let stage_dep = c as f64 * (s(y, i) - s(y, i + 1));
         // Thief side: a successful steal lifts an empty processor to
         // exactly c stages, feeding every level i ≤ c (rate
         // steal_rate·s_q). Victim side: qualifying victims with stages
@@ -134,9 +123,9 @@ impl ErlangStages {
         // For i ≤ c < q the two share s_q, so take their difference
         // in closed form rather than let s_q cancel up to rounding.
         let steals = if i <= c {
-            steal_rate * self.s(y, q.max(i + c))
+            steal_rate * s(y, q.max(i + c))
         } else if i + c > q {
-            -steal_rate * (self.s(y, i.max(q)) - self.s(y, i + c))
+            -steal_rate * (s(y, i.max(q)) - s(y, i + c))
         } else {
             0.0
         };
@@ -153,13 +142,13 @@ impl OdeSystem for ErlangStages {
         let lambda = self.lambda;
         let c = self.stages;
         let cf = c as f64;
-        let s1 = self.s(y, 1);
-        let s2 = self.s(y, 2);
+        let s1 = s(y, 1);
+        let s2 = s(y, 2);
         // Rate of steal attempts = rate of final-stage completions; a
         // victim qualifies with ≥ T tasks, i.e. ≥ q = (T−1)c+1 stages.
         let steal_rate = cf * (s1 - s2);
         let q = self.stage_threshold();
-        let sq = self.s(y, q);
+        let sq = s(y, q);
         dy[0] = lambda * (1.0 - s1) - steal_rate * (1.0 - sq);
         // Interior levels q ≤ i ≤ L − c (q > c, so i > c too) read
         // s_{i−c}, s_i, s_{i+1} and s_{i+c}, all stored: one straight-line
@@ -212,17 +201,13 @@ impl MeanFieldModel for ErlangStages {
         }
     }
 
-    fn empty_state(&self) -> Vec<f64> {
-        vec![0.0; self.levels]
-    }
-
     /// Mean *tasks* per processor: a processor has ≥ k tasks iff it has
     /// ≥ (k−1)c + 1 stages, so `L = Σ_{k≥1} s_{(k−1)c+1}`.
     fn mean_tasks(&self, y: &[f64]) -> f64 {
         let mut total = 0.0;
         let mut idx = 1;
         while idx <= self.levels {
-            total += self.s(y, idx);
+            total += s(y, idx);
             idx += self.stages;
         }
         total
@@ -232,14 +217,10 @@ impl MeanFieldModel for ErlangStages {
         let mut tails = vec![1.0];
         let mut idx = 1;
         while idx <= self.levels {
-            tails.push(self.s(y, idx));
+            tails.push(s(y, idx));
             idx += self.stages;
         }
         tails
-    }
-
-    fn boundary_mass(&self, y: &[f64]) -> f64 {
-        y.last().copied().unwrap_or(0.0)
     }
 }
 
@@ -260,19 +241,19 @@ mod tests {
         let lambda = m.lambda;
         let c = m.stages;
         let cf = c as f64;
-        let s1 = m.s(y, 1);
-        let s2 = m.s(y, 2);
+        let s1 = s(y, 1);
+        let s2 = s(y, 2);
         let steal_rate = cf * (s1 - s2);
         let q = m.stage_threshold();
-        let sq = m.s(y, q);
+        let sq = s(y, q);
         dy[0] = lambda * (1.0 - s1) - steal_rate * (1.0 - sq);
         for i in 2..=m.levels {
-            let arrivals = lambda * (m.s_signed(y, i as isize - c as isize) - m.s(y, i));
-            let stage_dep = cf * (m.s(y, i) - m.s(y, i + 1));
+            let arrivals = lambda * (m.s_signed(y, i as isize - c as isize) - s(y, i));
+            let stage_dep = cf * (s(y, i) - s(y, i + 1));
             let steals = if i <= c {
-                steal_rate * m.s(y, q.max(i + c))
+                steal_rate * s(y, q.max(i + c))
             } else if i + c > q {
-                -steal_rate * (m.s(y, i.max(q)) - m.s(y, i + c))
+                -steal_rate * (s(y, i.max(q)) - s(y, i + c))
             } else {
                 0.0
             };

@@ -212,10 +212,6 @@ impl MeanFieldModel for Heterogeneous {
         vec![0.0; 2 * self.levels]
     }
 
-    fn mean_tasks(&self, y: &[f64]) -> f64 {
-        y.iter().rev().sum()
-    }
-
     fn task_tails(&self, y: &[f64]) -> Vec<f64> {
         let mut tails = vec![1.0];
         for i in 1..=self.levels {

@@ -212,10 +212,6 @@ impl MeanFieldModel for HyperService {
         vec![0.0; 2 * self.levels]
     }
 
-    fn mean_tasks(&self, y: &[f64]) -> f64 {
-        y.iter().rev().sum()
-    }
-
     fn task_tails(&self, y: &[f64]) -> Vec<f64> {
         (0..=self.levels).map(|i| self.agg(y, i)).collect()
     }

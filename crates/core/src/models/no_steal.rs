@@ -13,7 +13,7 @@ use loadsteal_ode::OdeSystem;
 
 use crate::tail::TailVector;
 
-use super::{check_lambda, default_truncation, MeanFieldModel};
+use super::{check_lambda, default_truncation, s, MeanFieldModel};
 
 /// Mean-field model of `n → ∞` independent M/M/1 queues.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,17 +46,6 @@ impl NoSteal {
     pub fn closed_form_mean_time(&self) -> f64 {
         1.0 / (1.0 - self.lambda)
     }
-
-    #[inline]
-    fn s(&self, y: &[f64], i: usize) -> f64 {
-        if i == 0 {
-            1.0
-        } else if i <= y.len() {
-            y[i - 1]
-        } else {
-            0.0
-        }
-    }
 }
 
 impl OdeSystem for NoSteal {
@@ -66,9 +55,25 @@ impl OdeSystem for NoSteal {
 
     fn deriv(&self, _t: f64, y: &[f64], dy: &mut [f64]) {
         let lambda = self.lambda;
-        for i in 1..=self.levels {
-            dy[i - 1] =
-                lambda * (self.s(y, i - 1) - self.s(y, i)) - (self.s(y, i) - self.s(y, i + 1));
+        let levels = self.levels;
+        if levels == 0 {
+            return;
+        }
+        // Levels 1 and L read s_0 = 1 and s_{L+1} = 0 through `s`; the
+        // levels between read s_{i−1}, s_i and s_{i+1}, all stored: one
+        // straight-line loop over shifted slices, the same arithmetic.
+        let level = |i: usize| lambda * (s(y, i - 1) - s(y, i)) - (s(y, i) - s(y, i + 1));
+        dy[0] = level(1);
+        dy[levels - 1] = level(levels);
+        if levels > 2 {
+            let interior = dy[1..levels - 1]
+                .iter_mut()
+                .zip(&y[..levels - 2])
+                .zip(&y[1..levels - 1])
+                .zip(&y[2..levels]);
+            for (((d, &lo), &si), &hi) in interior {
+                *d = lambda * (lo - si) - (si - hi);
+            }
         }
     }
 
@@ -96,28 +101,44 @@ impl MeanFieldModel for NoSteal {
             ..self.clone()
         }
     }
-
-    fn empty_state(&self) -> Vec<f64> {
-        vec![0.0; self.levels]
-    }
-
-    fn mean_tasks(&self, y: &[f64]) -> f64 {
-        y.iter().rev().sum()
-    }
-
-    fn task_tails(&self, y: &[f64]) -> Vec<f64> {
-        std::iter::once(1.0).chain(y.iter().copied()).collect()
-    }
-
-    fn boundary_mass(&self, y: &[f64]) -> f64 {
-        y.last().copied().unwrap_or(0.0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixed_point::{solve, FixedPointOptions};
+
+    #[test]
+    fn slice_loop_matches_the_per_level_oracle_bit_for_bit() {
+        // The per-level loop `deriv` used before its interior became one
+        // slice loop, every level through `s`.
+        fn reference_deriv(m: &NoSteal, y: &[f64], dy: &mut [f64]) {
+            for i in 1..=m.levels {
+                dy[i - 1] = m.lambda * (s(y, i - 1) - s(y, i)) - (s(y, i) - s(y, i + 1));
+            }
+        }
+        let mut seed = 0x2545_f491_4f6c_dd1d_u64;
+        let mut uniform = move || {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for levels in 1..=301 {
+            let m = NoSteal::new(0.05 + 0.94 * uniform())
+                .unwrap()
+                .with_truncation(levels);
+            for _ in 0..5 {
+                let mut y: Vec<f64> = (0..levels).map(|_| uniform()).collect();
+                y.sort_by(|a, b| b.total_cmp(a));
+                let (mut fast, mut oracle) = (vec![0.0; levels], vec![0.0; levels]);
+                m.deriv(0.0, &y, &mut fast);
+                reference_deriv(&m, &y, &mut oracle);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fast), bits(&oracle), "L = {levels}");
+            }
+        }
+    }
 
     #[test]
     fn numeric_fixed_point_matches_mm1() {

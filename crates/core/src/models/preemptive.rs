@@ -22,7 +22,7 @@ use loadsteal_ode::OdeSystem;
 
 use crate::tail::TailVector;
 
-use super::{check_lambda, default_truncation, MeanFieldModel};
+use super::{check_lambda, default_truncation, s, MeanFieldModel};
 
 /// Mean-field model of preemptive stealing with parameters `(B, T)`.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,17 +75,6 @@ impl Preemptive {
         let pressure = tails.get(1) - tails.get(self.begin_at + 2);
         self.lambda / (1.0 + pressure)
     }
-
-    #[inline]
-    fn s(&self, y: &[f64], i: usize) -> f64 {
-        if i == 0 {
-            1.0
-        } else if i <= y.len() {
-            y[i - 1]
-        } else {
-            0.0
-        }
-    }
 }
 
 impl OdeSystem for Preemptive {
@@ -96,16 +85,16 @@ impl OdeSystem for Preemptive {
     fn deriv(&self, _t: f64, y: &[f64], dy: &mut [f64]) {
         let lambda = self.lambda;
         let (b, t) = (self.begin_at, self.rel_threshold);
-        let s1 = self.s(y, 1);
+        let s1 = s(y, 1);
         for i in 1..=self.levels {
-            let flow = lambda * (self.s(y, i - 1) - self.s(y, i));
-            let dep = self.s(y, i) - self.s(y, i + 1);
+            let flow = lambda * (s(y, i - 1) - s(y, i));
+            let dep = s(y, i) - s(y, i + 1);
             dy[i - 1] = if i <= b + 1 {
                 // Dropping from i to i−1 ≤ B triggers an attempt against
                 // victims ≥ (i−1)+T = i+T−1; on success the thief's load
                 // returns to i, so the departure is thinned by the
                 // failure probability.
-                flow - dep * (1.0 - self.s(y, i + t - 1))
+                flow - dep * (1.0 - s(y, i + t - 1))
             } else if i < t {
                 flow - dep
             } else {
@@ -113,7 +102,7 @@ impl OdeSystem for Preemptive {
                 // level j ≤ min(B, i−T): total pressure
                 // s_1 − s_{min(B+2, i−T+2)}.
                 let cut = (b + 2).min(i - t + 2);
-                flow - dep * (1.0 + (s1 - self.s(y, cut)))
+                flow - dep * (1.0 + (s1 - s(y, cut)))
             };
         }
     }
@@ -144,22 +133,6 @@ impl MeanFieldModel for Preemptive {
             levels: levels.max(self.begin_at + self.rel_threshold + 8),
             ..self.clone()
         }
-    }
-
-    fn empty_state(&self) -> Vec<f64> {
-        vec![0.0; self.levels]
-    }
-
-    fn mean_tasks(&self, y: &[f64]) -> f64 {
-        y.iter().rev().sum()
-    }
-
-    fn task_tails(&self, y: &[f64]) -> Vec<f64> {
-        std::iter::once(1.0).chain(y.iter().copied()).collect()
-    }
-
-    fn boundary_mass(&self, y: &[f64]) -> f64 {
-        y.last().copied().unwrap_or(0.0)
     }
 }
 

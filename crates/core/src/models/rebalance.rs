@@ -24,7 +24,7 @@ use loadsteal_ode::OdeSystem;
 
 use crate::tail::TailVector;
 
-use super::{check_lambda, default_truncation, MeanFieldModel};
+use super::{check_lambda, default_truncation, s, MeanFieldModel};
 
 /// Load-dependent rebalance rate `r(i)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,17 +77,6 @@ impl Rebalance {
     pub fn rate_fn(&self) -> RebalanceRateFn {
         self.rate
     }
-
-    #[inline]
-    fn s(&self, y: &[f64], i: usize) -> f64 {
-        if i == 0 {
-            1.0
-        } else if i <= y.len() {
-            y[i - 1]
-        } else {
-            0.0
-        }
-    }
 }
 
 impl OdeSystem for Rebalance {
@@ -106,7 +95,7 @@ impl OdeSystem for Rebalance {
         let mut p = vec![0.0; l + 1];
         let mut rp = vec![0.0; l + 1];
         for m in 0..=l {
-            p[m] = self.s(y, m) - self.s(y, m + 1);
+            p[m] = s(y, m) - s(y, m + 1);
             rp[m] = self.rate.rate(m) * p[m];
         }
         // Suffix sums: ps[m] = Σ_{j≥m} p_j, rs[m] = Σ_{j≥m} r(j) p_j;
@@ -128,8 +117,8 @@ impl OdeSystem for Rebalance {
         }
 
         for i in 1..=l {
-            let flow = lambda * (self.s(y, i - 1) - self.s(y, i));
-            let dep = self.s(y, i) - self.s(y, i + 1);
+            let flow = lambda * (s(y, i - 1) - s(y, i));
+            let dep = s(y, i) - s(y, i + 1);
             // Loss: pairs (j ≥ i, k < i) with j + k ≤ 2i − 2:
             //   Σ_j p_j [ r(j) Σ_{k≤kmax} p_k + Σ_{k≤kmax} r(k) p_k ].
             let mut loss = 0.0;
@@ -177,22 +166,6 @@ impl MeanFieldModel for Rebalance {
             levels,
             ..self.clone()
         }
-    }
-
-    fn empty_state(&self) -> Vec<f64> {
-        vec![0.0; self.levels]
-    }
-
-    fn mean_tasks(&self, y: &[f64]) -> f64 {
-        y.iter().rev().sum()
-    }
-
-    fn task_tails(&self, y: &[f64]) -> Vec<f64> {
-        std::iter::once(1.0).chain(y.iter().copied()).collect()
-    }
-
-    fn boundary_mass(&self, y: &[f64]) -> f64 {
-        y.last().copied().unwrap_or(0.0)
     }
 }
 

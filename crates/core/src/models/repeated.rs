@@ -21,7 +21,7 @@ use loadsteal_ode::OdeSystem;
 
 use crate::tail::TailVector;
 
-use super::{check_lambda, default_truncation, MeanFieldModel};
+use super::{check_lambda, default_truncation, s, MeanFieldModel};
 
 /// Mean-field model of repeated steal attempts at rate `r`.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,17 +72,6 @@ impl RepeatedSteal {
         let p2 = tails.get(2);
         self.lambda / (1.0 + self.rate * (1.0 - p1) + p1 - p2)
     }
-
-    #[inline]
-    fn s(&self, y: &[f64], i: usize) -> f64 {
-        if i == 0 {
-            1.0
-        } else if i <= y.len() {
-            y[i - 1]
-        } else {
-            0.0
-        }
-    }
 }
 
 impl OdeSystem for RepeatedSteal {
@@ -93,16 +82,16 @@ impl OdeSystem for RepeatedSteal {
     fn deriv(&self, _t: f64, y: &[f64], dy: &mut [f64]) {
         let lambda = self.lambda;
         let r = self.rate;
-        let s1 = self.s(y, 1);
-        let s2 = self.s(y, 2);
-        let st = self.s(y, self.threshold);
+        let s1 = s(y, 1);
+        let s2 = s(y, 2);
+        let st = s(y, self.threshold);
         // Steal pressure on deep victims: completions of final tasks
         // plus retry probes from the idle pool.
         let pressure = (s1 - s2) + r * (1.0 - s1);
         dy[0] = lambda * (1.0 - s1) + r * (1.0 - s1) * st - (s1 - s2) * (1.0 - st);
         for i in 2..=self.levels {
-            let flow = lambda * (self.s(y, i - 1) - self.s(y, i));
-            let dep = self.s(y, i) - self.s(y, i + 1);
+            let flow = lambda * (s(y, i - 1) - s(y, i));
+            let dep = s(y, i) - s(y, i + 1);
             dy[i - 1] = if i < self.threshold {
                 flow - dep
             } else {
@@ -137,22 +126,6 @@ impl MeanFieldModel for RepeatedSteal {
             levels: levels.max(self.threshold + 8),
             ..self.clone()
         }
-    }
-
-    fn empty_state(&self) -> Vec<f64> {
-        vec![0.0; self.levels]
-    }
-
-    fn mean_tasks(&self, y: &[f64]) -> f64 {
-        y.iter().rev().sum()
-    }
-
-    fn task_tails(&self, y: &[f64]) -> Vec<f64> {
-        std::iter::once(1.0).chain(y.iter().copied()).collect()
-    }
-
-    fn boundary_mass(&self, y: &[f64]) -> f64 {
-        y.last().copied().unwrap_or(0.0)
     }
 }
 

@@ -19,7 +19,7 @@ use loadsteal_ode::OdeSystem;
 use crate::fixed_point::FixedPoint;
 use crate::tail::TailVector;
 
-use super::{check_lambda, default_truncation, MeanFieldModel};
+use super::{check_lambda, default_truncation, s, MeanFieldModel};
 
 /// Mean-field model of the paper's simple WS algorithm.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,17 +104,6 @@ impl SimpleWs {
             state,
         }
     }
-
-    #[inline]
-    fn s(&self, y: &[f64], i: usize) -> f64 {
-        if i == 0 {
-            1.0
-        } else if i <= y.len() {
-            y[i - 1]
-        } else {
-            0.0
-        }
-    }
 }
 
 impl OdeSystem for SimpleWs {
@@ -124,15 +113,15 @@ impl OdeSystem for SimpleWs {
 
     fn deriv(&self, _t: f64, y: &[f64], dy: &mut [f64]) {
         let lambda = self.lambda;
-        let s1 = self.s(y, 1);
-        let s2 = self.s(y, 2);
+        let s1 = s(y, 1);
+        let s2 = s(y, 2);
         // Rate at which thieves appear = rate processors complete their
         // final task.
         let steal_rate = s1 - s2;
         dy[0] = lambda * (1.0 - s1) - (s1 - s2) * (1.0 - s2);
         for i in 2..=self.levels {
-            dy[i - 1] = lambda * (self.s(y, i - 1) - self.s(y, i))
-                - (self.s(y, i) - self.s(y, i + 1)) * (1.0 + steal_rate);
+            dy[i - 1] =
+                lambda * (s(y, i - 1) - s(y, i)) - (s(y, i) - s(y, i + 1)) * (1.0 + steal_rate);
         }
     }
 
@@ -159,22 +148,6 @@ impl MeanFieldModel for SimpleWs {
             levels,
             ..self.clone()
         }
-    }
-
-    fn empty_state(&self) -> Vec<f64> {
-        vec![0.0; self.levels]
-    }
-
-    fn mean_tasks(&self, y: &[f64]) -> f64 {
-        y.iter().rev().sum()
-    }
-
-    fn task_tails(&self, y: &[f64]) -> Vec<f64> {
-        std::iter::once(1.0).chain(y.iter().copied()).collect()
-    }
-
-    fn boundary_mass(&self, y: &[f64]) -> f64 {
-        y.last().copied().unwrap_or(0.0)
     }
 }
 

@@ -23,7 +23,7 @@ use loadsteal_ode::{AdaptiveOptions, DormandPrince45, IntegrationError, OdeSyste
 
 use crate::tail::TailVector;
 
-use super::MeanFieldModel;
+use super::{s, MeanFieldModel};
 
 /// Mean-field model with split external/internal arrivals; supports the
 /// static (`λ_ext = 0`) drain regime.
@@ -90,17 +90,6 @@ impl StaticDrain {
             }
         })
     }
-
-    #[inline]
-    fn s(&self, y: &[f64], i: usize) -> f64 {
-        if i == 0 {
-            1.0
-        } else if i <= y.len() {
-            y[i - 1]
-        } else {
-            0.0
-        }
-    }
 }
 
 impl OdeSystem for StaticDrain {
@@ -109,14 +98,14 @@ impl OdeSystem for StaticDrain {
     }
 
     fn deriv(&self, _t: f64, y: &[f64], dy: &mut [f64]) {
-        let s1 = self.s(y, 1);
-        let s2 = self.s(y, 2);
+        let s1 = s(y, 1);
+        let s2 = s(y, 2);
         let steal_rate = s1 - s2;
         let total = self.lambda_ext + self.lambda_int;
         dy[0] = self.lambda_ext * (1.0 - s1) - (s1 - s2) * (1.0 - s2);
         for i in 2..=self.levels {
-            dy[i - 1] = total * (self.s(y, i - 1) - self.s(y, i))
-                - (self.s(y, i) - self.s(y, i + 1)) * (1.0 + steal_rate);
+            dy[i - 1] =
+                total * (s(y, i - 1) - s(y, i)) - (s(y, i) - s(y, i + 1)) * (1.0 + steal_rate);
         }
     }
 
@@ -149,22 +138,6 @@ impl MeanFieldModel for StaticDrain {
             levels,
             ..self.clone()
         }
-    }
-
-    fn empty_state(&self) -> Vec<f64> {
-        vec![0.0; self.levels]
-    }
-
-    fn mean_tasks(&self, y: &[f64]) -> f64 {
-        y.iter().rev().sum()
-    }
-
-    fn task_tails(&self, y: &[f64]) -> Vec<f64> {
-        std::iter::once(1.0).chain(y.iter().copied()).collect()
-    }
-
-    fn boundary_mass(&self, y: &[f64]) -> f64 {
-        y.last().copied().unwrap_or(0.0)
     }
 }
 

@@ -20,7 +20,7 @@ use loadsteal_ode::OdeSystem;
 use crate::fixed_point::FixedPoint;
 use crate::tail::TailVector;
 
-use super::{check_lambda, default_truncation, MeanFieldModel};
+use super::{check_lambda, default_truncation, s, MeanFieldModel};
 
 /// Mean-field model of threshold-`T` work stealing.
 ///
@@ -137,17 +137,6 @@ impl ThresholdWs {
             state,
         }
     }
-
-    #[inline]
-    fn s(&self, y: &[f64], i: usize) -> f64 {
-        if i == 0 {
-            1.0
-        } else if i <= y.len() {
-            y[i - 1]
-        } else {
-            0.0
-        }
-    }
 }
 
 impl OdeSystem for ThresholdWs {
@@ -157,14 +146,14 @@ impl OdeSystem for ThresholdWs {
 
     fn deriv(&self, _t: f64, y: &[f64], dy: &mut [f64]) {
         let lambda = self.lambda;
-        let s1 = self.s(y, 1);
-        let s2 = self.s(y, 2);
-        let st = self.s(y, self.threshold);
+        let s1 = s(y, 1);
+        let s2 = s(y, 2);
+        let st = s(y, self.threshold);
         let steal_rate = s1 - s2;
         dy[0] = lambda * (1.0 - s1) - (s1 - s2) * (1.0 - st);
         for i in 2..=self.levels {
-            let flow = lambda * (self.s(y, i - 1) - self.s(y, i));
-            let dep = self.s(y, i) - self.s(y, i + 1);
+            let flow = lambda * (s(y, i - 1) - s(y, i));
+            let dep = s(y, i) - s(y, i + 1);
             dy[i - 1] = if i < self.threshold {
                 flow - dep
             } else {
@@ -196,22 +185,6 @@ impl MeanFieldModel for ThresholdWs {
             levels: levels.max(self.threshold + 8),
             ..self.clone()
         }
-    }
-
-    fn empty_state(&self) -> Vec<f64> {
-        vec![0.0; self.levels]
-    }
-
-    fn mean_tasks(&self, y: &[f64]) -> f64 {
-        y.iter().rev().sum()
-    }
-
-    fn task_tails(&self, y: &[f64]) -> Vec<f64> {
-        std::iter::once(1.0).chain(y.iter().copied()).collect()
-    }
-
-    fn boundary_mass(&self, y: &[f64]) -> f64 {
-        y.last().copied().unwrap_or(0.0)
     }
 }
 

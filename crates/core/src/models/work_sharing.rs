@@ -26,7 +26,7 @@ use loadsteal_ode::OdeSystem;
 
 use crate::tail::TailVector;
 
-use super::{check_lambda, default_truncation, MeanFieldModel};
+use super::{check_lambda, default_truncation, s, MeanFieldModel};
 
 /// Mean-field model of sender-initiated work sharing.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,23 +69,12 @@ impl WorkSharing {
     /// at a loaded processor costs one probe message — this *grows*
     /// with load, the crux of the stealing-vs-sharing comparison.
     pub fn probe_rate(&self, y: &[f64]) -> f64 {
-        self.lambda * self.s(y, self.send_threshold)
+        self.lambda * s(y, self.send_threshold)
     }
 
     /// Successful-forward rate per processor: `λ · s_F · (1 − s_R)`.
     pub fn forward_rate(&self, y: &[f64]) -> f64 {
-        self.probe_rate(y) * (1.0 - self.s(y, self.recv_threshold))
-    }
-
-    #[inline]
-    fn s(&self, y: &[f64], i: usize) -> f64 {
-        if i == 0 {
-            1.0
-        } else if i <= y.len() {
-            y[i - 1]
-        } else {
-            0.0
-        }
+        self.probe_rate(y) * (1.0 - s(y, self.recv_threshold))
     }
 }
 
@@ -97,10 +86,10 @@ impl OdeSystem for WorkSharing {
     fn deriv(&self, _t: f64, y: &[f64], dy: &mut [f64]) {
         let lambda = self.lambda;
         let (f, r) = (self.send_threshold, self.recv_threshold);
-        let sf = self.s(y, f);
-        let sr = self.s(y, r);
+        let sf = s(y, f);
+        let sr = s(y, r);
         for i in 1..=self.levels {
-            let step = self.s(y, i - 1) - self.s(y, i);
+            let step = s(y, i - 1) - s(y, i);
             // Arrivals kept locally: everything below the sender
             // threshold, a thinned stream above it.
             let local = if i <= f {
@@ -110,7 +99,7 @@ impl OdeSystem for WorkSharing {
             };
             // Forwarded arrivals land only below the receiver threshold.
             let forwarded = if i <= r { lambda * sf * step } else { 0.0 };
-            let service = self.s(y, i) - self.s(y, i + 1);
+            let service = s(y, i) - s(y, i + 1);
             dy[i - 1] = local + forwarded - service;
         }
     }
@@ -141,22 +130,6 @@ impl MeanFieldModel for WorkSharing {
             levels: levels.max(self.send_threshold.max(self.recv_threshold) + 8),
             ..self.clone()
         }
-    }
-
-    fn empty_state(&self) -> Vec<f64> {
-        vec![0.0; self.levels]
-    }
-
-    fn mean_tasks(&self, y: &[f64]) -> f64 {
-        y.iter().rev().sum()
-    }
-
-    fn task_tails(&self, y: &[f64]) -> Vec<f64> {
-        std::iter::once(1.0).chain(y.iter().copied()).collect()
-    }
-
-    fn boundary_mass(&self, y: &[f64]) -> f64 {
-        y.last().copied().unwrap_or(0.0)
     }
 }
 

@@ -59,8 +59,8 @@ use loadsteal_ode::OdeSystem;
 use crate::fixed_point::{solve, solve_traced, FixedPoint, FixedPointOptions};
 use crate::models::{
     check_lambda, ErlangArrivals, ErlangStages, GeneralWs, Heterogeneous, HyperService,
-    MeanFieldModel, MultiChoice, MultiSteal, NoSteal, Preemptive, Rebalance, RebalanceRateFn,
-    RepeatedSteal, SimpleWs, ThresholdWs, TransferWs, WorkSharing,
+    MeanFieldModel, NoSteal, Preemptive, Rebalance, RebalanceRateFn, RepeatedSteal, TransferWs,
+    WorkSharing,
 };
 
 /// Tolerance for the unit-mean check on service distributions.
@@ -527,21 +527,27 @@ impl ModelSpec {
 
     /// Dispatch within the on-empty steal family, where the §3
     /// refinements (service shape, arrival shape, transfer delay, speed
-    /// classes) each have their own equations.
+    /// classes) each have their own equations. Without them every
+    /// `(T, d, k)` solves the one combined ODE, [`GeneralWs`].
     fn on_empty_mean_field(
         &self,
         threshold: usize,
         choices: u32,
         batch: usize,
     ) -> Result<AnyModel, UnsupportedSpec> {
-        let single = choices == 1 && batch == 1;
-        if let Some(rate) = self.transfer_rate {
-            if !single {
-                return Err(unsupported(
+        // The §3 refinements' equations steal one task from one victim.
+        let one_task_one_victim = |equations: &str| {
+            if choices == 1 && batch == 1 {
+                Ok(())
+            } else {
+                Err(unsupported(
                     if batch == 1 { "choices" } else { "batch" },
-                    "the §3.2 transfer-delay equations steal one task from one victim",
-                ));
+                    format!("the {equations} equations steal one task from one victim"),
+                ))
             }
+        };
+        if let Some(rate) = self.transfer_rate {
+            one_task_one_victim("§3.2 transfer-delay")?;
             self.check_unconsumed(Consumes {
                 transfer: true,
                 ..Consumes::default()
@@ -552,12 +558,7 @@ impl ModelSpec {
         }
         match self.service {
             ServiceSpec::Erlang { stages } => {
-                if !single {
-                    return Err(unsupported(
-                        if batch == 1 { "choices" } else { "batch" },
-                        "the §3.1 Erlang-stage equations steal one task from one victim",
-                    ));
-                }
+                one_task_one_victim("§3.1 Erlang-stage")?;
                 self.check_unconsumed(Consumes {
                     service: true,
                     ..Consumes::default()
@@ -567,12 +568,7 @@ impl ModelSpec {
                     .map_err(self.constructor_error("service"));
             }
             ServiceSpec::HyperExp { p, rate1, rate2 } => {
-                if !single {
-                    return Err(unsupported(
-                        if batch == 1 { "choices" } else { "batch" },
-                        "the §3.1 hyperexponential equations steal one task from one victim",
-                    ));
-                }
+                one_task_one_victim("§3.1 hyperexponential")?;
                 self.check_unconsumed(Consumes {
                     service: true,
                     ..Consumes::default()
@@ -591,12 +587,7 @@ impl ModelSpec {
             ServiceSpec::Exponential => {}
         }
         if let ArrivalSpec::Erlang { phases } = self.arrival {
-            if !single {
-                return Err(unsupported(
-                    if batch == 1 { "choices" } else { "batch" },
-                    "the §3.1 Erlang-arrival equations steal one task from one victim",
-                ));
-            }
+            one_task_one_victim("§3.1 Erlang-arrival")?;
             self.check_unconsumed(Consumes {
                 arrival: true,
                 ..Consumes::default()
@@ -611,12 +602,7 @@ impl ModelSpec {
             slow_rate,
         } = self.speeds
         {
-            if !single {
-                return Err(unsupported(
-                    if batch == 1 { "choices" } else { "batch" },
-                    "the §3.5 heterogeneous equations steal one task from one victim",
-                ));
-            }
+            one_task_one_victim("§3.5 heterogeneous")?;
             self.check_unconsumed(Consumes {
                 speeds: true,
                 ..Consumes::default()
@@ -626,14 +612,9 @@ impl ModelSpec {
                 .map_err(self.constructor_error("speeds"));
         }
         self.check_unconsumed(Consumes::default())?;
-        match (threshold, choices, batch) {
-            (2, 1, 1) => SimpleWs::new(self.lambda).map(AnyModel::SimpleWs),
-            (t, 1, 1) => ThresholdWs::new(self.lambda, t).map(AnyModel::ThresholdWs),
-            (t, d, 1) => MultiChoice::new(self.lambda, d, t).map(AnyModel::MultiChoice),
-            (t, 1, k) => MultiSteal::new(self.lambda, k, t).map(AnyModel::MultiSteal),
-            (t, d, k) => GeneralWs::new(self.lambda, t, d, k).map(AnyModel::GeneralWs),
-        }
-        .map_err(self.constructor_error("policy"))
+        GeneralWs::new(self.lambda, threshold, choices, batch)
+            .map(AnyModel::GeneralWs)
+            .map_err(self.constructor_error("policy"))
     }
 
     /// Solve the fixed point of this spec's mean-field model with
@@ -740,10 +721,6 @@ impl std::fmt::Display for ModelSpec {
 #[allow(missing_docs)] // variants mirror the concrete model names
 pub enum AnyModel {
     NoSteal(NoSteal),
-    SimpleWs(SimpleWs),
-    ThresholdWs(ThresholdWs),
-    MultiChoice(MultiChoice),
-    MultiSteal(MultiSteal),
     GeneralWs(GeneralWs),
     Preemptive(Preemptive),
     Repeated(RepeatedSteal),
@@ -760,10 +737,6 @@ macro_rules! delegate {
     ($self:expr, $m:ident => $body:expr) => {
         match $self {
             AnyModel::NoSteal($m) => $body,
-            AnyModel::SimpleWs($m) => $body,
-            AnyModel::ThresholdWs($m) => $body,
-            AnyModel::MultiChoice($m) => $body,
-            AnyModel::MultiSteal($m) => $body,
             AnyModel::GeneralWs($m) => $body,
             AnyModel::Preemptive($m) => $body,
             AnyModel::Repeated($m) => $body,
@@ -782,10 +755,6 @@ macro_rules! delegate_rewrap {
     ($self:expr, $m:ident => $body:expr) => {
         match $self {
             AnyModel::NoSteal($m) => AnyModel::NoSteal($body),
-            AnyModel::SimpleWs($m) => AnyModel::SimpleWs($body),
-            AnyModel::ThresholdWs($m) => AnyModel::ThresholdWs($body),
-            AnyModel::MultiChoice($m) => AnyModel::MultiChoice($body),
-            AnyModel::MultiSteal($m) => AnyModel::MultiSteal($body),
             AnyModel::GeneralWs($m) => AnyModel::GeneralWs($body),
             AnyModel::Preemptive($m) => AnyModel::Preemptive($body),
             AnyModel::Repeated($m) => AnyModel::Repeated($body),
@@ -1185,10 +1154,24 @@ mod tests {
     fn dispatch_covers_every_policy() {
         let cases = [
             ("lambda=0.8,policy=none", "no stealing"),
-            ("lambda=0.9,policy=steal,T=2", "simple WS"),
-            ("lambda=0.85,policy=steal,T=4", "threshold WS"),
-            ("lambda=0.9,policy=steal,T=2,d=2", "multi-choice WS"),
-            ("lambda=0.85,policy=steal,T=6,k=3", "multi-steal WS"),
+            // Every on-empty spec without a §3 refinement solves the
+            // one combined ODE.
+            (
+                "lambda=0.9,policy=steal,T=2",
+                "general WS (λ = 0.9, T = 2, d = 1, k = 1)",
+            ),
+            (
+                "lambda=0.85,policy=steal,T=4",
+                "general WS (λ = 0.85, T = 4, d = 1, k = 1)",
+            ),
+            (
+                "lambda=0.9,policy=steal,T=2,d=2",
+                "general WS (λ = 0.9, T = 2, d = 2, k = 1)",
+            ),
+            (
+                "lambda=0.85,policy=steal,T=6,k=3",
+                "general WS (λ = 0.85, T = 6, d = 1, k = 3)",
+            ),
             ("lambda=0.9,policy=steal,T=6,d=2,k=3", "general WS"),
             ("lambda=0.85,policy=preemptive,B=1,T=3", "preemptive WS"),
             ("lambda=0.9,policy=repeated,r=2,T=2", "repeated-attempt WS"),

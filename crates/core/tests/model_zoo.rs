@@ -36,8 +36,8 @@ fn zoo() -> Vec<ZooEntry> {
         entry!(ErlangStages::new(LAMBDA, 5).unwrap()),
         entry!(ErlangArrivals::new(LAMBDA, 5, 2).unwrap()),
         entry!(TransferWs::new(LAMBDA, 0.5, 3).unwrap()),
-        entry!(MultiChoice::new(LAMBDA, 2, 2).unwrap()),
-        entry!(MultiSteal::new(LAMBDA, 2, 4).unwrap()),
+        entry!(GeneralWs::new(LAMBDA, 2, 2, 1).unwrap()),
+        entry!(GeneralWs::new(LAMBDA, 4, 1, 2).unwrap()),
         entry!(GeneralWs::new(LAMBDA, 4, 2, 2).unwrap()),
         entry!(Rebalance::new(LAMBDA, RebalanceRateFn::Constant(1.0)).unwrap()),
         entry!(Heterogeneous::new(LAMBDA, 0.5, 1.3, 0.9, 2).unwrap()),

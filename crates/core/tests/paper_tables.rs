@@ -7,7 +7,7 @@
 //! correctly.
 
 use loadsteal_core::fixed_point::{solve, FixedPointOptions};
-use loadsteal_core::models::{ErlangStages, MultiChoice, SimpleWs, TransferWs};
+use loadsteal_core::models::{ErlangStages, GeneralWs, SimpleWs, TransferWs};
 
 fn opts() -> FixedPointOptions {
     FixedPointOptions::default()
@@ -114,7 +114,7 @@ fn table4_estimate_column_every_cell() {
         (0.95, 2.640),
         (0.99, 4.011),
     ] {
-        let m = MultiChoice::new(lambda, 2, 2).unwrap();
+        let m = GeneralWs::new(lambda, 2, 2, 1).unwrap();
         let w = solve(&m, &opts()).unwrap().mean_time_in_system;
         assert!(
             (w - expect).abs() < 1.5e-3,

@@ -6,8 +6,7 @@
 use proptest::prelude::*;
 
 use loadsteal_core::models::{
-    Heterogeneous, MeanFieldModel, MultiChoice, MultiSteal, NoSteal, SimpleWs, ThresholdWs,
-    TransferWs,
+    GeneralWs, Heterogeneous, MeanFieldModel, NoSteal, SimpleWs, ThresholdWs, TransferWs,
 };
 use loadsteal_core::tail::TailVector;
 use loadsteal_ode::OdeSystem;
@@ -92,7 +91,7 @@ proptest! {
         state in arb_tail(72),
     ) {
         let threshold = 2 * batch + 2;
-        let m = MultiSteal::new(lambda, batch, threshold).unwrap().with_truncation(72);
+        let m = GeneralWs::new(lambda, threshold, 1, batch).unwrap().with_truncation(72);
         let mut dy = vec![0.0; 72];
         m.deriv(0.0, &state, &mut dy);
         let dl: f64 = dy.iter().sum();
@@ -110,7 +109,7 @@ proptest! {
     ) {
         // One Euler step from a valid tail must stay (nearly) valid: the
         // drift never drives s_i above s_{i−1} at first order.
-        let m = MultiChoice::new(lambda, d, 2).unwrap().with_truncation(48);
+        let m = GeneralWs::new(lambda, 2, d, 1).unwrap().with_truncation(48);
         let mut dy = vec![0.0; 48];
         m.deriv(0.0, &state, &mut dy);
         let h = 1e-4;

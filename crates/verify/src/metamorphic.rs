@@ -8,8 +8,8 @@
 
 use loadsteal_core::fixed_point::{solve, FixedPointOptions};
 use loadsteal_core::models::{
-    GeneralWs, MeanFieldModel, MultiChoice, MultiSteal, NoSteal, Preemptive, Rebalance,
-    RebalanceRateFn, RepeatedSteal, SimpleWs, ThresholdWs, WorkSharing,
+    GeneralWs, MeanFieldModel, NoSteal, Preemptive, Rebalance, RebalanceRateFn, RepeatedSteal,
+    SimpleWs, ThresholdWs, WorkSharing,
 };
 use loadsteal_core::trajectory::mass_balance_residual;
 use loadsteal_core::TailVector;
@@ -78,8 +78,8 @@ fn mass_conservation() -> Outcome {
     probe(&ThresholdWs::new(0.85, 4).unwrap(), &mut problems);
     probe(&Preemptive::new(0.85, 1, 3).unwrap(), &mut problems);
     probe(&RepeatedSteal::new(0.9, 2.0, 2).unwrap(), &mut problems);
-    probe(&MultiChoice::new(0.9, 2, 2).unwrap(), &mut problems);
-    probe(&MultiSteal::new(0.85, 3, 6).unwrap(), &mut problems);
+    probe(&GeneralWs::new(0.9, 2, 2, 1).unwrap(), &mut problems);
+    probe(&GeneralWs::new(0.85, 6, 1, 3).unwrap(), &mut problems);
     probe(&GeneralWs::new(0.9, 6, 2, 3).unwrap(), &mut problems);
     probe(&WorkSharing::new(0.9, 2, 2).unwrap(), &mut problems);
     probe(

@@ -41,8 +41,8 @@ fn main() {
     row!(ErlangStages::new(lambda, 10).unwrap());
     row!(ErlangArrivals::new(lambda, 10, 2).unwrap());
     row!(TransferWs::new(lambda, 0.25, 4).unwrap());
-    row!(MultiChoice::new(lambda, 2, 2).unwrap());
-    row!(MultiSteal::new(lambda, 3, 6).unwrap());
+    row!(GeneralWs::new(lambda, 2, 2, 1).unwrap());
+    row!(GeneralWs::new(lambda, 6, 1, 3).unwrap());
     row!(GeneralWs::new(lambda, 6, 2, 3).unwrap());
     row!(Rebalance::new(lambda, RebalanceRateFn::Constant(1.0)).unwrap());
     row!(Heterogeneous::new(lambda, 0.5, 1.5, 0.8, 2).unwrap());

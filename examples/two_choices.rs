@@ -11,7 +11,7 @@
 //! Run with: `cargo run --release --example two_choices`
 
 use loadsteal::meanfield::fixed_point::{solve, FixedPointOptions};
-use loadsteal::meanfield::models::MultiChoice;
+use loadsteal::meanfield::models::GeneralWs;
 use loadsteal::sim::{replicate, SimConfig, StealPolicy};
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
         let est: Vec<f64> = [1u32, 2, 4]
             .iter()
             .map(|&d| {
-                let m = MultiChoice::new(lambda, d, 2).expect("valid");
+                let m = GeneralWs::new(lambda, 2, d, 1).expect("valid");
                 solve(&m, &opts).expect("fixed point").mean_time_in_system
             })
             .collect();

@@ -12,8 +12,8 @@
 
 use loadsteal::meanfield::fixed_point::{solve, FixedPointOptions};
 use loadsteal::meanfield::models::{
-    ErlangArrivals, ErlangStages, GeneralWs, Heterogeneous, MultiChoice, MultiSteal, NoSteal,
-    Preemptive, Rebalance, RebalanceRateFn, RepeatedSteal, SimpleWs, ThresholdWs, TransferWs,
+    ErlangArrivals, ErlangStages, GeneralWs, Heterogeneous, NoSteal, Preemptive, Rebalance,
+    RebalanceRateFn, RepeatedSteal, SimpleWs, ThresholdWs, TransferWs,
 };
 use loadsteal::queueing::ServiceDistribution;
 use loadsteal::sim::{
@@ -139,7 +139,7 @@ fn multi_choice_matches_simulation() {
         batch: 1,
     };
     let rep = replicate(&sim_cfg(lambda, policy), 3, 8);
-    let m = MultiChoice::new(lambda, 2, 2).unwrap();
+    let m = GeneralWs::new(lambda, 2, 2, 1).unwrap();
     let predicted = solve(&m, &FixedPointOptions::default())
         .unwrap()
         .mean_time_in_system;
@@ -156,7 +156,7 @@ fn multi_steal_matches_simulation() {
         batch: 3,
     };
     let rep = replicate(&sim_cfg(lambda, policy), 3, 9);
-    let m = MultiSteal::new(lambda, 3, 6).unwrap();
+    let m = GeneralWs::new(lambda, 6, 1, 3).unwrap();
     let predicted = solve(&m, &FixedPointOptions::default())
         .unwrap()
         .mean_time_in_system;
