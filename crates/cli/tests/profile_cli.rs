@@ -201,8 +201,8 @@ fn span_calls(table: &str, leaf: &str) -> u64 {
 #[test]
 fn erlang_stage_polish_needs_few_factorizations() {
     // A grown pass warm-starts from a state whose new levels are empty;
-    // with the border's columns probed at every row, its polish
-    // converges quadratically. A probe that missed those entries took
+    // with the border's columns widened to every row, its polish
+    // converges quadratically. A pattern that missed those entries took
     // 14 and 15 factorizations here.
     let dir = scratch_dir("factor-count");
     for model in ["erlang-service,lambda=0.9", "threshold-erlang,lambda=0.9"] {
@@ -221,6 +221,33 @@ fn erlang_stage_polish_needs_few_factorizations() {
         assert!(
             span_calls(&stdout, "ode.probe") >= 1,
             "{model}: the first probe has a span of its own\n{stdout}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn grown_passes_extend_the_pilot_structure_instead_of_probing() {
+    // Both solves grow their truncation (erlang-service once, transfer
+    // three times); only the pilot probes its Jacobian, n evaluations
+    // of F, and every grown pass extends that structure.
+    let dir = scratch_dir("probe-count");
+    for model in ["erlang-service,lambda=0.9", "transfer,lambda=0.99"] {
+        let out = loadsteal_in(&dir, &["profile", "solve", "--model", model]);
+        assert!(
+            out.status.success(),
+            "profile solve {model}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+        assert_eq!(
+            span_calls(&stdout, "ode.probe"),
+            1,
+            "{model}: one probe\n{stdout}"
+        );
+        assert!(
+            span_calls(&stdout, "ode.extend") >= 1,
+            "{model}: grown passes extend\n{stdout}"
         );
     }
     let _ = std::fs::remove_dir_all(&dir);

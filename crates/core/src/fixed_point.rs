@@ -38,9 +38,18 @@
 //!   it integrates, so growing costs one polish, not a fresh
 //!   integration from empty. The polish aims at least as deep as the
 //!   residual of the pass it grew from.
+//! - **Probe once.** Only the pilot's polish probes the Jacobian, one
+//!   evaluation of `F` per unknown. A grown pass's polish starts from
+//!   that structure extended to its own truncation through
+//!   [`MeanFieldModel::block_layout`]
+//!   ([`loadsteal_ode::JacobianStructure::extend`]), so its first
+//!   Jacobian is one coloured refill. If that polish fails, the pass
+//!   retries with a fresh probe before it integrates.
 //! - **Stop.** The solve returns once the need fits (or no ratio
 //!   resolves) and the boundary mass is below
-//!   [`FixedPointOptions::boundary_tol`].
+//!   [`FixedPointOptions::boundary_tol`]. A solve that ends on its
+//!   pilot pass with a residual above the neglected mass first polishes
+//!   on below it, which takes one step to the rounding floor.
 //!
 //! So the contract is on neglected mass, not on the last level: the
 //! tail mass a [`FixedPoint`] leaves out is estimated below 1e−14. Its
@@ -54,7 +63,8 @@ use loadsteal_obs::{NullRecorder, Recorder};
 use loadsteal_ode::norms::max_abs;
 use loadsteal_ode::solver::SteadyStateOptions;
 use loadsteal_ode::{
-    newton_solve, AdaptiveOptions, DormandPrince45, IntegrationError, NewtonError, NewtonOptions,
+    newton_solve_from, AdaptiveOptions, DormandPrince45, IntegrationError, JacobianStructure,
+    NewtonError, NewtonOptions,
 };
 
 use crate::models::MeanFieldModel;
@@ -207,13 +217,17 @@ pub fn solve_traced<M: MeanFieldModel>(
 ) -> Result<FixedPoint, SolveError> {
     let mut m = model.with_truncation(PILOT_LEVELS.min(opts.max_truncation));
     let mut warm = None;
+    // The Jacobian structure of the last probe: grown passes extend it
+    // instead of probing again.
+    let mut probed = None;
     loop {
-        let (state, residual, polished) = {
+        let pilot = warm.is_none();
+        let (mut state, mut residual, polished) = {
             let _span = span("core.solve_pass");
-            solve_at_truncation(&m, warm.take(), opts, rec)?
+            solve_at_truncation(&m, warm.take(), &mut probed, opts, rec)?
         };
         let levels = m.truncation();
-        let task_tails = m.task_tails(&state);
+        let mut task_tails = m.task_tails(&state);
         // Erlang-stage models carry several levels per task.
         let per_task = levels as f64 / (task_tails.len() - 1) as f64;
         let to_levels = |tasks: usize| (tasks as f64 * per_task).ceil() as usize;
@@ -221,6 +235,19 @@ pub fn solve_traced<M: MeanFieldModel>(
         if need.is_none_or(|n| to_levels(n) <= levels)
             && m.boundary_mass(&state) <= opts.boundary_tol
         {
+            // The pilot's polish stops once the residual is inside the
+            // Newton tolerance, which can leave it above the tail mass
+            // the truncation neglects. A solve that ends there polishes
+            // on below that mass with the structure it probed: one more
+            // quadratic step reaches the rounding floor. A grown pass
+            // already aims below the pass it grew from.
+            if pilot && polished && residual > NEGLECTED_MASS && probed.is_some() {
+                let floor = try_newton(&m, &state, residual, NEGLECTED_MASS, opts, &mut probed);
+                if let Polish::Converged(y, r) = floor {
+                    (state, residual) = (y, r);
+                    task_tails = m.task_tails(&state);
+                }
+            }
             return Ok(FixedPoint {
                 residual,
                 polished,
@@ -266,6 +293,13 @@ fn needed_task_levels(tails: &[f64], residual: f64, max: usize) -> Option<usize>
 /// of the pass it grew from: it first tries the polish there and, if
 /// that fails, integrates from there the same way.
 ///
+/// `probed` holds the Jacobian structure of the solve's last probe. A
+/// warm pass's polish starts from that structure extended to this
+/// truncation. If that polish fails, it retries with a fresh probe
+/// before integrating, so a missed Jacobian entry costs time, never the
+/// polish. Every polish that probes and converges leaves its structure
+/// in `probed`.
+///
 /// Some systems (notably load-proportional rebalancing) relax towards
 /// their fixed point very slowly under pure integration; Newton's basin
 /// of attraction is reached long before the trajectory itself settles,
@@ -274,13 +308,24 @@ fn needed_task_levels(tails: &[f64], residual: f64, max: usize) -> Option<usize>
 fn solve_at_truncation<M: MeanFieldModel>(
     m: &M,
     warm: Option<(Vec<f64>, f64)>,
+    probed: &mut Option<JacobianStructure>,
     opts: &FixedPointOptions,
     rec: &mut dyn Recorder,
 ) -> Result<(Vec<f64>, f64, bool), SolveError> {
     let mut polish = true;
     let mut y = match warm {
         Some((y, depth)) => {
-            match try_newton(m, &y, residual_at(m, &y), depth, opts) {
+            let residual = residual_at(m, &y);
+            let mut outcome = Polish::Failed;
+            if let Some(base) = probed.as_ref() {
+                let blocks = m.block_layout();
+                let mut extended = Some(base.extend(blocks, blocks.levels(m.dim())));
+                outcome = try_newton(m, &y, residual, depth, opts, &mut extended);
+            }
+            if let Polish::Failed = outcome {
+                outcome = probe_newton(m, &y, residual, depth, opts, probed);
+            }
+            match outcome {
                 Polish::Converged(state, r) => return Ok((state, r, true)),
                 Polish::TooDense => polish = false,
                 Polish::Failed => {}
@@ -305,7 +350,7 @@ fn solve_at_truncation<M: MeanFieldModel>(
         residual = report.residual;
 
         if polish {
-            match try_newton(m, &y, residual, f64::INFINITY, opts) {
+            match probe_newton(m, &y, residual, f64::INFINITY, opts, probed) {
                 Polish::Converged(state, r) => return Ok((state, r, true)),
                 // The dense part is a property of the model, not of the
                 // starting point: later chunks would not change it.
@@ -326,6 +371,24 @@ fn solve_at_truncation<M: MeanFieldModel>(
     }
 }
 
+/// [`try_newton`] from a fresh probe, whose structure replaces `probed`
+/// when the polish converges (having needed a Jacobian).
+fn probe_newton<M: MeanFieldModel>(
+    m: &M,
+    y: &[f64],
+    residual: f64,
+    depth: f64,
+    opts: &FixedPointOptions,
+    probed: &mut Option<JacobianStructure>,
+) -> Polish {
+    let mut fresh = None;
+    let outcome = try_newton(m, y, residual, depth, opts, &mut fresh);
+    if matches!(outcome, Polish::Converged(..)) && fresh.is_some() {
+        *probed = fresh;
+    }
+    outcome
+}
+
 /// `‖F(y)‖∞`.
 fn residual_at<M: MeanFieldModel>(m: &M, y: &[f64]) -> f64 {
     let mut f = vec![0.0; y.len()];
@@ -344,7 +407,9 @@ enum Polish {
 }
 
 /// Attempt a Newton polish from `y`, whose residual is `residual`; it
-/// succeeds when the iteration converges to a better residual.
+/// succeeds when the iteration converges to a better residual. Its
+/// Jacobians share `structure`: given, or probed into it
+/// ([`newton_solve_from`]).
 ///
 /// The polish aims below both the Newton tolerance and `depth`. A warm
 /// start passes the residual of the pass it grew from: the warm state
@@ -358,6 +423,7 @@ fn try_newton<M: MeanFieldModel>(
     residual: f64,
     depth: f64,
     opts: &FixedPointOptions,
+    structure: &mut Option<JacobianStructure>,
 ) -> Polish {
     let mut trial = y.to_vec();
     // Interleaved attempts are speculative: bound the cost of a failed
@@ -367,7 +433,8 @@ fn try_newton<M: MeanFieldModel>(
         max_iters: opts.newton.max_iters.min(25),
         ..opts.newton
     };
-    let converged = match newton_solve(|x, out| m.deriv(0.0, x, out), &mut trial, &newton_opts) {
+    let f = |x: &[f64], out: &mut [f64]| m.deriv(0.0, x, out);
+    let converged = match newton_solve_from(f, &mut trial, &newton_opts, structure) {
         Ok(_) => true,
         Err(NewtonError::TooDense { .. }) => return Polish::TooDense,
         // Newton keeps only steps that lower the residual, so `trial`

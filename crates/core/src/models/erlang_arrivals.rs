@@ -21,6 +21,7 @@
 //! over all processors so the steal terms couple the phases only through
 //! the aggregated tails.
 
+use loadsteal_ode::jacobian::BlockLayout;
 use loadsteal_ode::OdeSystem;
 
 use super::{check_lambda, default_truncation, MeanFieldModel};
@@ -183,8 +184,11 @@ impl MeanFieldModel for ErlangArrivals {
         self.agg(y, self.levels)
     }
 
-    fn embed_state(&self, y: &[f64]) -> Vec<f64> {
-        super::embed_blocks(y, 0, self.phases, self.levels)
+    fn block_layout(&self) -> BlockLayout {
+        BlockLayout {
+            head: 0,
+            blocks: self.phases,
+        }
     }
 }
 

@@ -20,6 +20,7 @@
 //! the load: `λ < α μ_f + (1 − α) μ_s` is necessary; stealing couples
 //! the classes so slow processors can even handle `λ > μ_s`.
 
+use loadsteal_ode::jacobian::BlockLayout;
 use loadsteal_ode::OdeSystem;
 
 use super::MeanFieldModel;
@@ -224,8 +225,8 @@ impl MeanFieldModel for Heterogeneous {
         self.f(y, self.levels).max(self.g(y, self.levels))
     }
 
-    fn embed_state(&self, y: &[f64]) -> Vec<f64> {
-        super::embed_blocks(y, 0, 2, self.levels)
+    fn block_layout(&self) -> BlockLayout {
+        BlockLayout { head: 0, blocks: 2 }
     }
 }
 

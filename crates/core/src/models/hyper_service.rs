@@ -26,6 +26,7 @@
 //! exactly; two distinct branches show Table 2's effect mirrored:
 //! *more* service variability means *longer* times in system.
 
+use loadsteal_ode::jacobian::BlockLayout;
 use loadsteal_ode::OdeSystem;
 
 use super::MeanFieldModel;
@@ -220,8 +221,8 @@ impl MeanFieldModel for HyperService {
         self.agg(y, self.levels)
     }
 
-    fn embed_state(&self, y: &[f64]) -> Vec<f64> {
-        super::embed_blocks(y, 0, 2, self.levels)
+    fn block_layout(&self) -> BlockLayout {
+        BlockLayout { head: 0, blocks: 2 }
     }
 }
 

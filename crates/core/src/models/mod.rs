@@ -61,6 +61,7 @@ pub use threshold::ThresholdWs;
 pub use transfer::TransferWs;
 pub use work_sharing::WorkSharing;
 
+use loadsteal_ode::jacobian::BlockLayout;
 use loadsteal_ode::OdeSystem;
 
 /// A mean-field work-stealing model: a truncated ODE family plus the
@@ -109,12 +110,20 @@ pub trait MeanFieldModel: OdeSystem + Clone {
         y.last().copied().unwrap_or(0.0)
     }
 
+    /// How the state is stored: head scalars, then equally long level
+    /// blocks. One tail `y = (s_1, …, s_L)` by default. The solver
+    /// re-embeds states and extends Jacobian structures through it.
+    fn block_layout(&self) -> BlockLayout {
+        BlockLayout::TAIL
+    }
+
     /// `y`, a state of this model at another truncation (such as a
     /// [`crate::FixedPoint::state`]), re-embedded at this model's
     /// truncation: levels `y` does not carry start empty, and levels
     /// beyond this truncation are dropped.
     fn embed_state(&self, y: &[f64]) -> Vec<f64> {
-        embed_blocks(y, 0, 1, self.dim())
+        let blocks = self.block_layout();
+        blocks.embed(y, blocks.levels(self.dim()))
     }
 
     /// Mean time a task spends in the system at state `y`
@@ -122,25 +131,6 @@ pub trait MeanFieldModel: OdeSystem + Clone {
     fn mean_time_in_system(&self, y: &[f64]) -> f64 {
         loadsteal_queueing::littles_law::time_in_system(self.mean_tasks(y), self.lambda())
     }
-}
-
-/// [`MeanFieldModel::embed_state`] for a state laid out as `head`
-/// scalars followed by `blocks` equally long level blocks, re-embedded
-/// at `levels` per block.
-pub(crate) fn embed_blocks(y: &[f64], head: usize, blocks: usize, levels: usize) -> Vec<f64> {
-    assert!(
-        y.len() >= head && (y.len() - head) % blocks == 0,
-        "state of {} values is not {head} scalars plus {blocks} whole blocks",
-        y.len()
-    );
-    let from = (y.len() - head) / blocks;
-    let keep = from.min(levels);
-    let mut out = vec![0.0; head + blocks * levels];
-    out[..head].copy_from_slice(&y[..head]);
-    for b in 0..blocks {
-        out[head + b * levels..][..keep].copy_from_slice(&y[head + b * from..][..keep]);
-    }
-    out
 }
 
 /// `s_i` of a state `y = (s_1, …, s_L)`, with the boundary conventions

@@ -21,6 +21,7 @@
 //! singular). The mean number of tasks per processor counts the tasks in
 //! transit: `L = Σ_{i≥1}(s_i + w_i) + w_0`.
 
+use loadsteal_ode::jacobian::BlockLayout;
 use loadsteal_ode::OdeSystem;
 
 use super::{check_lambda, default_truncation, MeanFieldModel};
@@ -191,8 +192,8 @@ impl MeanFieldModel for TransferWs {
         self.s(y, self.levels).max(self.w(y, self.levels))
     }
 
-    fn embed_state(&self, y: &[f64]) -> Vec<f64> {
-        super::embed_blocks(y, 1, 2, self.levels)
+    fn block_layout(&self) -> BlockLayout {
+        BlockLayout { head: 1, blocks: 2 }
     }
 }
 

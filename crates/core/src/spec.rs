@@ -54,6 +54,7 @@
 //! | `speeds` | `homogeneous`, `classes:<fast-fraction>:<fast-rate>:<slow-rate>` |
 
 use loadsteal_obs::Recorder;
+use loadsteal_ode::jacobian::BlockLayout;
 use loadsteal_ode::OdeSystem;
 
 use crate::fixed_point::{solve, solve_traced, FixedPoint, FixedPointOptions};
@@ -806,8 +807,8 @@ impl MeanFieldModel for AnyModel {
     fn boundary_mass(&self, y: &[f64]) -> f64 {
         delegate!(self, m => m.boundary_mass(y))
     }
-    fn embed_state(&self, y: &[f64]) -> Vec<f64> {
-        delegate!(self, m => m.embed_state(y))
+    fn block_layout(&self) -> BlockLayout {
+        delegate!(self, m => m.block_layout())
     }
     fn mean_time_in_system(&self, y: &[f64]) -> f64 {
         delegate!(self, m => m.mean_time_in_system(y))

@@ -1,18 +1,23 @@
 //! The structured Newton polish against its dense oracle, and its
 //! coverage: every registry preset polishes at any truncation.
 //!
-//! The polish probes the Jacobian's sparsity pattern once and refills it
-//! by column colouring. That is exact only if the pattern holds every
-//! entry that can move, so each preset's coloured Jacobian is compared
-//! bit for bit with the per-column dense one at interior states.
+//! The polish probes the Jacobian's sparsity pattern once, at the
+//! solve's pilot truncation, extends it to every larger truncation, and
+//! refills it by column colouring. That is exact only if the pattern
+//! holds every entry that can move, so each preset's coloured Jacobian,
+//! probed and extended, is compared bit for bit with the per-column
+//! dense one at interior and warm-start states.
 
 use loadsteal_core::fixed_point::{solve, FixedPointOptions};
 use loadsteal_core::models::{NoSteal, SimpleWs};
 use loadsteal_core::{MeanFieldModel, ModelRegistry, ModelSpec};
 use loadsteal_ode::bordered::BorderedBanded;
-use loadsteal_ode::jacobian::SparseJacobian;
+use loadsteal_ode::jacobian::{Colouring, SparseJacobian};
 use loadsteal_ode::linalg::DenseMatrix;
-use loadsteal_ode::{AdaptiveOptions, DormandPrince45, NewtonOptions, OdeSystem};
+use loadsteal_ode::{
+    newton_solve_from, AdaptiveOptions, DormandPrince45, JacobianStructure, NewtonOptions,
+    OdeSystem,
+};
 
 /// An interior state of `m`: the state 40 time units after empty,
 /// halved, plus 0.025–0.125 on every component. Integration alone leaves
@@ -55,29 +60,23 @@ fn dense_jacobian<M: MeanFieldModel>(m: &M, x: &[f64], fx: &[f64], fd_eps: f64) 
     jac
 }
 
-/// Refill `probed`'s pattern at `x` with the colouring the polish uses
-/// and compare it with the per-column dense Jacobian there: every
-/// pattern entry must match bit for bit. Returns the largest dense entry
-/// outside the pattern relative to the largest overall.
+/// Refill `pattern` at `x` with `colouring`, as the polish does, and
+/// compare it with the per-column dense Jacobian there: every pattern
+/// entry must match bit for bit. Returns the largest dense entry outside
+/// the pattern relative to the largest overall.
 fn refill_against_dense<M: MeanFieldModel>(
     name: &str,
     m: &M,
-    probed: &SparseJacobian,
+    pattern: &SparseJacobian,
+    colouring: &Colouring,
     x: &[f64],
 ) -> f64 {
     let fd_eps = NewtonOptions::default().fd_eps;
     let mut fx = vec![0.0; x.len()];
     m.deriv(0.0, x, &mut fx);
     let dense = dense_jacobian(m, x, &fx, fd_eps);
-    let layout = BorderedBanded::analyse(probed);
-    let mut coloured = probed.clone();
-    coloured.refill(
-        |v, out| m.deriv(0.0, v, out),
-        x,
-        &fx,
-        fd_eps,
-        &probed.colour(layout.border()),
-    );
+    let mut coloured = pattern.clone();
+    coloured.refill(|v, out| m.deriv(0.0, v, out), x, &fx, fd_eps, colouring);
     let mut in_pattern = DenseMatrix::zeros(x.len());
     for (i, j, v) in coloured.entries() {
         in_pattern[(i, j)] = 1.0;
@@ -114,9 +113,10 @@ fn coloured_jacobian_equals_the_dense_one_for_every_preset() {
             let mut fa = vec![0.0; a.len()];
             m.deriv(0.0, &a, &mut fa);
             let probed = SparseJacobian::probe(|v, out| m.deriv(0.0, v, out), &a, &fa, fd_eps);
+            let colouring = probed.colour(BorderedBanded::analyse(&probed).border());
             // At the probe point nothing lies outside the pattern.
             assert_eq!(
-                refill_against_dense(p.name, &m, &probed, &a),
+                refill_against_dense(p.name, &m, &probed, &colouring, &a),
                 0.0,
                 "{}",
                 p.name
@@ -124,13 +124,77 @@ fn coloured_jacobian_equals_the_dense_one_for_every_preset() {
             // At a second point, where the polish reuses the pattern, only
             // rounding noise may: rebalance's telescoping prefix sums move
             // by an ulp or so under perturbations they cancel exactly.
-            let outside = refill_against_dense(p.name, &m, &probed, &interior_state(&m, 2));
+            let b = interior_state(&m, 2);
+            let outside = refill_against_dense(p.name, &m, &probed, &colouring, &b);
             assert!(
                 outside < 1e-8,
                 "{}: entry {outside:e} outside the pattern",
                 p.name
             );
         }
+    }
+}
+
+/// A solve's pilot pass at `m`: integrate from empty in chunks of 50
+/// time units until a Newton polish converges. Returns the polished
+/// state and the Jacobian structure the polish probed.
+fn pilot<M: MeanFieldModel>(m: &M) -> (Vec<f64>, JacobianStructure) {
+    let mut y = m.empty_state();
+    let mut dp = DormandPrince45::new(AdaptiveOptions::default());
+    for chunk in 0..40 {
+        let t = 50.0 * chunk as f64;
+        dp.integrate(m, t, t + 50.0, &mut y).unwrap();
+        let mut x = y.clone();
+        let mut structure = None;
+        let f = |v: &[f64], out: &mut [f64]| m.deriv(0.0, v, out);
+        if newton_solve_from(f, &mut x, &NewtonOptions::default(), &mut structure).is_ok() {
+            return (x, structure.expect("the polish probed"));
+        }
+    }
+    panic!("{}: no polish within 2000 time units", m.name());
+}
+
+#[test]
+fn extended_jacobian_equals_the_dense_one_for_every_preset() {
+    for p in ModelRegistry::standard().presets() {
+        let model = p.spec.mean_field().unwrap();
+        // The pilot floor: 32 levels, or the model's structural minimum.
+        let (fixed, probed) = pilot(&model.with_truncation(32));
+        for levels in [120, 400] {
+            let m = model.with_truncation(levels);
+            let blocks = m.block_layout();
+            let extended = probed.extend(blocks, blocks.levels(m.dim()));
+            // The warm start a grown pass polishes from (the pilot's
+            // fixed point, new levels empty) and an interior state.
+            for (at, x) in [
+                ("warm start", m.embed_state(&fixed)),
+                ("interior", interior_state(&m, 3)),
+            ] {
+                let pattern = extended.jacobian();
+                let outside = refill_against_dense(p.name, &m, pattern, extended.colouring(), &x);
+                assert!(
+                    outside < 1e-8,
+                    "{} at {levels} levels, {at}: entry {outside:e} outside the pattern",
+                    p.name
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn every_preset_at_lambda_0_5_polishes_to_the_rounding_floor() {
+    // Seven of these solves end on their pilot pass, whose polish stops
+    // once the residual is inside the Newton tolerance (1e-13).
+    for p in ModelRegistry::standard().presets() {
+        let spec = ModelSpec::parse(&format!("{},lambda=0.5", p.name)).unwrap();
+        let fp = spec.fixed_point().unwrap();
+        assert!(
+            fp.residual <= 1e-14,
+            "{spec}: residual {:e} at truncation {}",
+            fp.residual,
+            fp.truncation
+        );
     }
 }
 

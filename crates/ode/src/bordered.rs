@@ -23,6 +23,12 @@
 //! pattern whose core entries fit its band, whatever the border's rows
 //! and columns hold: the Newton polish widens the border's columns to
 //! every row after the analysis ([`crate::newton`]).
+//!
+//! A layout can also be given its border and core order outright
+//! (`BorderedBanded::from_order`). A structure extended to a larger
+//! truncation keeps the probed border and lays the core out level by
+//! level, blocks interleaved, which reads the band off the pattern with
+//! no graph search.
 
 use crate::jacobian::{csr, SparseJacobian};
 use crate::linalg::{DenseMatrix, Lu, SingularMatrix};
@@ -95,9 +101,24 @@ impl BorderedBanded {
         for &v in border {
             in_border[v] = true;
         }
-        let mut border = border.to_vec();
-        border.sort_unstable();
         let core = graph.reverse_cuthill_mckee(&in_border);
+        Self::from_order(jac, border.to_vec(), core)
+    }
+
+    /// The layout with `border` as the dense unknowns and `core`, every
+    /// other unknown once, in this band order; `jac`'s entries between
+    /// core unknowns set the bandwidths.
+    ///
+    /// # Panics
+    /// Panics if `border` and `core` do not add up to `jac`'s order.
+    pub(crate) fn from_order(
+        jac: &SparseJacobian,
+        mut border: Vec<usize>,
+        core: Vec<usize>,
+    ) -> Self {
+        let n = jac.order();
+        assert_eq!(border.len() + core.len(), n, "layout of another order");
+        border.sort_unstable();
         let mut pos = vec![Pos::Border(0); n];
         for (p, &v) in border.iter().enumerate() {
             pos[v] = Pos::Border(p);
@@ -161,7 +182,7 @@ impl BorderedBanded {
 
     /// Lower and upper half-bandwidths of the core in band order.
     #[cfg(test)]
-    fn bandwidths(&self) -> (usize, usize) {
+    pub(crate) fn bandwidths(&self) -> (usize, usize) {
         (self.kl, self.ku)
     }
 

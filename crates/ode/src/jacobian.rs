@@ -17,6 +17,23 @@
 //! ([`crate::bordered`]), it widens each of them to every row
 //! (`SparseJacobian::widen_columns`). Each border column has a colour of
 //! its own, so a widened column still costs one evaluation per refill.
+//!
+//! A pattern probed at one truncation also serves a larger one, without
+//! a second probe. The state is laid out as a few head scalars and
+//! equally long level blocks ([`BlockLayout`]), and the pattern is
+//! extended (`SparseJacobian::extend`) in two parts:
+//! - The head scalars and the border keep their (block, level)
+//!   coordinates, and so do the entries in their rows. Their columns
+//!   hold every row.
+//! - Every other entry is a stencil triple (row block, column block,
+//!   level offset), repeated at every level of the larger truncation,
+//!   the border's levels included: a border row near the probe's last
+//!   level reads levels the probe did not carry.
+//!
+//! A level's equations read the same neighbours at every depth past a
+//! few boundary levels, so the stencil holds every entry the larger
+//! truncation can move. It also restores entries that vanished at the
+//! probe point at some levels but not at others.
 
 use crate::linalg::DenseMatrix;
 
@@ -24,6 +41,78 @@ use crate::linalg::DenseMatrix;
 #[inline]
 fn fd_step(xj: f64, fd_eps: f64) -> f64 {
     fd_eps * xj.abs().max(1e-5)
+}
+
+/// How a state vector is stored: `head` scalars, then `blocks` equally
+/// long blocks of levels. At `L` levels per block, level `l` (from 0) of
+/// block `b` is unknown `head + b·L + l`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockLayout {
+    /// Scalars stored ahead of the level blocks.
+    pub head: usize,
+    /// Number of level blocks (at least 1).
+    pub blocks: usize,
+}
+
+impl BlockLayout {
+    /// One tail `y = (s_1, …, s_L)`: no head, one block.
+    pub const TAIL: Self = Self { head: 0, blocks: 1 };
+
+    /// Levels per block of a state of `n` values.
+    ///
+    /// # Panics
+    /// Panics if `n` is not `head` scalars plus whole blocks.
+    pub fn levels(self, n: usize) -> usize {
+        assert!(
+            n >= self.head && (n - self.head) % self.blocks == 0,
+            "state of {n} values is not {} scalars plus {} whole blocks",
+            self.head,
+            self.blocks
+        );
+        (n - self.head) / self.blocks
+    }
+
+    /// Length of a state with `levels` per block.
+    pub fn dim(self, levels: usize) -> usize {
+        self.head + self.blocks * levels
+    }
+
+    /// `y` re-embedded at `levels` per block: the head scalars and each
+    /// block's levels keep their values, levels `y` does not carry start
+    /// at zero, and levels past `levels` are dropped.
+    pub fn embed(self, y: &[f64], levels: usize) -> Vec<f64> {
+        let from = self.levels(y.len());
+        let keep = from.min(levels);
+        let mut out = vec![0.0; self.dim(levels)];
+        out[..self.head].copy_from_slice(&y[..self.head]);
+        for b in 0..self.blocks {
+            out[self.index(b, 0, levels)..][..keep]
+                .copy_from_slice(&y[self.index(b, 0, from)..][..keep]);
+        }
+        out
+    }
+
+    /// Unknown of level `l` of block `b` at `levels` per block.
+    pub(crate) fn index(self, b: usize, l: usize, levels: usize) -> usize {
+        self.head + b * levels + l
+    }
+
+    /// Block and level of unknown `v`, not a head scalar, at `levels`
+    /// per block.
+    fn coord(self, v: usize, levels: usize) -> (usize, usize) {
+        ((v - self.head) / levels, (v - self.head) % levels)
+    }
+
+    /// Unknown `v` of a state with `from` levels per block, renumbered
+    /// for `to ≥ from` levels per block.
+    pub(crate) fn moved(self, v: usize, from: usize, to: usize) -> usize {
+        if v < self.head {
+            v
+        } else {
+            let (b, l) = self.coord(v, from);
+            self.index(b, l, to)
+        }
+    }
 }
 
 /// A forward-difference Jacobian stored by column (CSC): for column `j`,
@@ -194,6 +283,93 @@ impl SparseJacobian {
         self.col_start = col_start;
         self.rows = rows;
         self.vals = vals;
+    }
+
+    /// The pattern of this Jacobian, of a state laid out as `blocks`,
+    /// extended to `levels` per block, with every value zero (see the
+    /// [module docs](self)). The `fixed` unknowns, in this Jacobian's
+    /// numbering, keep their coordinates, as do the entries in their
+    /// rows. Every other entry is repeated at every level, in every
+    /// row, as a stencil triple. The `wide` unknowns, in the new
+    /// numbering, hold every row in their columns.
+    ///
+    /// # Panics
+    /// Panics if `levels` is fewer than this Jacobian's levels per block.
+    pub(crate) fn extend(
+        &self,
+        blocks: BlockLayout,
+        fixed: &[usize],
+        wide: &[usize],
+        levels: usize,
+    ) -> Self {
+        let from = blocks.levels(self.n);
+        assert!(
+            levels >= from,
+            "a pattern extends to more levels, not fewer"
+        );
+        let n = blocks.dim(levels);
+        let mut is_fixed = vec![false; self.n];
+        for &v in fixed {
+            is_fixed[v] = true;
+        }
+        let mut is_wide = vec![false; n];
+        for &v in wide {
+            is_wide[v] = true;
+        }
+        // The fixed rows' entries as (column, row) in the new numbering,
+        // and the stencil as (column block, row block, row level − column
+        // level).
+        let mut kept = Vec::new();
+        let mut stencil = Vec::new();
+        for (i, j, _) in self.entries() {
+            if is_fixed[j] {
+                continue;
+            }
+            if is_fixed[i] {
+                kept.push((blocks.moved(j, from, levels), blocks.moved(i, from, levels)));
+            } else {
+                let ((bi, li), (bj, lj)) = (blocks.coord(i, from), blocks.coord(j, from));
+                stencil.push((bj, bi, li as isize - lj as isize));
+            }
+        }
+        kept.sort_unstable();
+        stencil.sort_unstable();
+        stencil.dedup();
+        let mut kept = kept.into_iter().peekable();
+        let mut col_start = Vec::with_capacity(n + 1);
+        col_start.push(0);
+        let mut rows = Vec::new();
+        let mut column = Vec::new();
+        for (j, &full) in is_wide.iter().enumerate() {
+            if full {
+                rows.extend(0..n);
+                col_start.push(rows.len());
+                continue;
+            }
+            column.clear();
+            while let Some((_, i)) = kept.next_if(|&(c, _)| c == j) {
+                column.push(i);
+            }
+            if j >= blocks.head {
+                let (bj, lj) = blocks.coord(j, levels);
+                let first = stencil.partition_point(|s| s.0 < bj);
+                for &(_, bi, offset) in stencil[first..].iter().take_while(|s| s.0 == bj) {
+                    if let Some(li) = lj.checked_add_signed(offset).filter(|&l| l < levels) {
+                        column.push(blocks.index(bi, li, levels));
+                    }
+                }
+            }
+            column.sort_unstable();
+            column.dedup();
+            rows.extend_from_slice(&column);
+            col_start.push(rows.len());
+        }
+        Self {
+            n,
+            col_start,
+            vals: vec![0.0; rows.len()],
+            rows,
+        }
     }
 
     /// Order `n` of the (square) Jacobian.

@@ -14,18 +14,20 @@
 //!    detection ([`solver::SteadyStateOptions`]).
 //! 2. **Linear algebra** ([`linalg`], [`bordered`]): a row-major dense
 //!    matrix with LU factorization (partial pivoting), and a
-//!    bordered-banded LU that factors a reverse Cuthill–McKee band with
-//!    partial pivoting and the dense Schur complement of a few dense rows
-//!    and columns with the dense LU.
+//!    bordered-banded LU that factors a band with partial pivoting and
+//!    the dense Schur complement of a few dense rows and columns with the
+//!    dense LU. The band is in reverse Cuthill–McKee order, or level by
+//!    level for a structure extended to a larger truncation.
 //! 3. **Root finding** ([`roots`], [`newton`], [`jacobian`]): scalar
 //!    bisection and Brent iteration for the paper's closed-form
 //!    fixed-point constants, and a damped finite-difference Newton method
 //!    for the algebraic systems `F(π) = 0` that define fixed points
-//!    without closed forms. Its Jacobian pattern is probed once; later
-//!    Jacobians are refilled by Curtis–Powell–Reid column colouring, a
+//!    without closed forms. Its Jacobian structure is probed once per
+//!    solve, at the smallest truncation, and extended to larger ones
+//!    ([`JacobianStructure::extend`]) with no evaluation of `F`. Every
+//!    Jacobian is refilled by Curtis–Powell–Reid column colouring, a
 //!    handful of evaluations of `F` instead of one per unknown, so
-//!    banded systems of thousands of unknowns polish in tens of
-//!    milliseconds.
+//!    banded systems of thousands of unknowns polish in milliseconds.
 //!
 //! The crate is deliberately self-contained (no external dependencies):
 //! the Rust ODE ecosystem is thin, and the solvers needed here are small,
@@ -66,7 +68,9 @@ pub mod roots;
 pub mod solver;
 mod system;
 
-pub use newton::{newton_solve, NewtonError, NewtonOptions, NewtonReport};
+pub use newton::{
+    newton_solve, newton_solve_from, JacobianStructure, NewtonError, NewtonOptions, NewtonReport,
+};
 pub use roots::{bisect, brent, RootError};
 pub use solver::{
     AdaptiveOptions, Control, DormandPrince45, Euler, IntegrationError, Rk4, SteadyReport,

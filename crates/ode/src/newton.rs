@@ -8,10 +8,12 @@
 //!
 //! The Jacobian of such a system is bordered-banded: each level couples
 //! to a few neighbours, plus a few global scalars couple to everything.
-//! The first iteration probes it column by column and keeps its pattern
-//! ([`crate::jacobian`]); later iterations refill the pattern with one
-//! evaluation per column colour, and every Jacobian is factored as a band
-//! plus a dense border ([`crate::bordered`]).
+//! Every Jacobian of a solve shares one [`JacobianStructure`]: a
+//! pattern ([`crate::jacobian`]), its layout as a band plus a dense
+//! border ([`crate::bordered`]) and a column colouring. The first
+//! Jacobian either probes the structure column by column
+//! ([`newton_solve`]) or refills a given one ([`newton_solve_from`]).
+//! Every later Jacobian refills it with one evaluation per colour.
 //!
 //! The border's columns are widened to every row right after the probe.
 //! A warm start from a shorter truncation has empty new levels, where
@@ -20,16 +22,126 @@
 //! the polish converges only linearly. The factor stores the border
 //! densely and each border column has a colour of its own, so the
 //! widened entries cost no extra evaluation.
+//!
+//! A structure probed at a small truncation extends to a larger one
+//! ([`JacobianStructure::extend`]), so a solve that grows its truncation
+//! probes once, at its first and smallest one. The extension costs
+//! O(nnz) and no evaluation of `F`.
 
 use loadsteal_obs::span::span;
 
 use crate::bordered::BorderedBanded;
-use crate::jacobian::{Colouring, SparseJacobian};
+use crate::jacobian::{BlockLayout, Colouring, SparseJacobian};
 use crate::norms::max_abs;
 
 /// What every Jacobian of one solve shares: its pattern (holding the
-/// latest values), layout and colouring.
-type Structure = (SparseJacobian, BorderedBanded, Colouring);
+/// latest values), its layout as band plus border, and its colouring,
+/// one colour per border column.
+#[derive(Debug, Clone)]
+pub struct JacobianStructure {
+    jac: SparseJacobian,
+    layout: BorderedBanded,
+    colouring: Colouring,
+}
+
+impl JacobianStructure {
+    /// Probe the structure at `x` (with `fx = F(x)`): the Jacobian column
+    /// by column, laid out as band plus border, the border's columns
+    /// widened to every row (see the [module docs](self)), and coloured
+    /// with one colour per border column. `n` evaluations of `F`.
+    ///
+    /// # Errors
+    /// [`NewtonError::TooDense`] when the layout's dense part exceeds
+    /// `opts.max_dense_dim`.
+    fn probe(
+        f: impl FnMut(&[f64], &mut [f64]),
+        x: &[f64],
+        fx: &[f64],
+        opts: &NewtonOptions,
+    ) -> Result<Self, NewtonError> {
+        let _span = span("ode.probe");
+        let mut jac = SparseJacobian::probe(f, x, fx, opts.fd_eps);
+        let layout = BorderedBanded::analyse(&jac);
+        check_dense(&layout, opts)?;
+        jac.widen_columns(layout.border());
+        let colouring = jac.colour(layout.border());
+        Ok(Self {
+            jac,
+            layout,
+            colouring,
+        })
+    }
+
+    /// This structure, of a state laid out as `blocks`, extended to
+    /// `levels` per block with no evaluation of `F`:
+    /// - the head scalars join the border, and the border keeps its
+    ///   (block, level) coordinates, its columns widened to every row;
+    /// - the pattern's other entries repeat as a stencil at every level
+    ///   ([`crate::jacobian`]);
+    /// - the core is laid out level by level, blocks interleaved, the
+    ///   deepest level first (as reverse Cuthill–McKee numbers a chain),
+    ///   so the band comes from the pattern with no graph search.
+    ///
+    /// An all-dense structure stays all-dense. The values are zero until
+    /// the first refill.
+    ///
+    /// # Panics
+    /// Panics if `levels` is fewer than this structure's levels per
+    /// block.
+    pub fn extend(&self, blocks: BlockLayout, levels: usize) -> Self {
+        let _span = span("ode.extend");
+        let from = blocks.levels(self.jac.order());
+        let n = blocks.dim(levels);
+        let (fixed, border): (Vec<usize>, Vec<usize>) = if self.layout.is_dense() {
+            ((0..self.jac.order()).collect(), (0..n).collect())
+        } else {
+            let levels_in_border = self.layout.border().iter().filter(|&&v| v >= blocks.head);
+            let fixed: Vec<usize> = (0..blocks.head).chain(levels_in_border.copied()).collect();
+            let border = fixed
+                .iter()
+                .map(|&v| blocks.moved(v, from, levels))
+                .collect();
+            (fixed, border)
+        };
+        let jac = self.jac.extend(blocks, &fixed, &border, levels);
+        let mut in_border = vec![false; n];
+        for &v in &border {
+            in_border[v] = true;
+        }
+        let core: Vec<usize> = (0..levels)
+            .rev()
+            .flat_map(|l| {
+                (0..blocks.blocks)
+                    .rev()
+                    .map(move |b| blocks.index(b, l, levels))
+            })
+            .filter(|&v| !in_border[v])
+            .collect();
+        let layout = BorderedBanded::from_order(&jac, border, core);
+        let colouring = jac.colour(layout.border());
+        Self {
+            jac,
+            layout,
+            colouring,
+        }
+    }
+
+    /// Recompute every entry at `x` (with `fx = F(x)`): one evaluation of
+    /// `F` per colour.
+    fn refill(&mut self, f: impl FnMut(&[f64], &mut [f64]), x: &[f64], fx: &[f64], fd_eps: f64) {
+        self.jac.refill(f, x, fx, fd_eps, &self.colouring);
+    }
+
+    /// The Jacobian: the pattern with its latest values.
+    pub fn jacobian(&self) -> &SparseJacobian {
+        &self.jac
+    }
+
+    /// The column colouring every refill perturbs by.
+    pub fn colouring(&self) -> &Colouring {
+        &self.colouring
+    }
+}
 
 /// Options for [`newton_solve`].
 #[derive(Debug, Clone, Copy)]
@@ -154,12 +266,38 @@ impl std::error::Error for NewtonError {}
 /// backtracking until the residual decreases (Armijo-free monotone
 /// test — adequate because our fixed points are strongly attracting).
 pub fn newton_solve(
-    mut f: impl FnMut(&[f64], &mut [f64]),
+    f: impl FnMut(&[f64], &mut [f64]),
     x: &mut [f64],
     opts: &NewtonOptions,
 ) -> Result<NewtonReport, NewtonError> {
+    newton_solve_from(f, x, opts, &mut None)
+}
+
+/// [`newton_solve`] with the Jacobian structure in the caller's hands.
+/// When `structure` holds one, such as a probed structure
+/// [extended](JacobianStructure::extend) to this order, the first
+/// Jacobian refills it instead of probing. Otherwise the first Jacobian
+/// probes it into `structure`. Either way, `structure` holds the
+/// structure the solve used on return, for the caller to keep or extend.
+///
+/// # Errors
+/// As [`newton_solve`]; a given structure whose dense part exceeds
+/// `opts.max_dense_dim` is [`NewtonError::TooDense`].
+///
+/// # Panics
+/// Panics if a given structure is of another order than `x`.
+pub fn newton_solve_from(
+    mut f: impl FnMut(&[f64], &mut [f64]),
+    x: &mut [f64],
+    opts: &NewtonOptions,
+    structure: &mut Option<JacobianStructure>,
+) -> Result<NewtonReport, NewtonError> {
     let _span = span("ode.newton");
     let n = x.len();
+    if let Some(s) = structure {
+        assert_eq!(s.jac.order(), n, "structure of another order");
+        check_dense(&s.layout, opts)?;
+    }
     let mut fx = vec![0.0; n];
     let mut fx_trial = vec![0.0; n];
     let mut x_trial = vec![0.0; n];
@@ -169,7 +307,6 @@ pub fn newton_solve(
         return Err(NewtonError::NonFinite);
     }
     let mut res = max_abs(&fx);
-    let mut structure: Option<Structure> = None;
 
     for iter in 0..opts.max_iters {
         if res < opts.tol {
@@ -178,17 +315,19 @@ pub fn newton_solve(
                 residual: res,
             });
         }
-        {
+        let s = {
             let _span = span("ode.jacobian");
-            match &mut structure {
-                Some((jac, _, colouring)) => jac.refill(&mut f, x, &fx, opts.fd_eps, colouring),
-                None => structure = Some(first_jacobian(&mut f, x, &fx, opts)?),
+            match structure {
+                Some(s) => {
+                    s.refill(&mut f, x, &fx, opts.fd_eps);
+                    s
+                }
+                None => structure.insert(JacobianStructure::probe(&mut f, x, &fx, opts)?),
             }
-        }
-        let (jac, layout, _) = structure.as_ref().expect("probed above");
+        };
         let lu = {
             let _span = span("ode.factor");
-            layout.factor(jac)
+            s.layout.factor(&s.jac)
         }
         .map_err(|_| NewtonError::SingularJacobian { iteration: iter })?;
         // Newton direction: J dx = -F.
@@ -235,28 +374,15 @@ pub fn newton_solve(
     Err(NewtonError::MaxIterations { residual: res })
 }
 
-/// The first Jacobian of a solve at `x` (with `fx = F(x)`): probed
-/// column by column, laid out as band plus border, the border's columns
-/// widened to every row (see the [module docs](self)), and coloured with
-/// one colour per border column.
-fn first_jacobian(
-    f: impl FnMut(&[f64], &mut [f64]),
-    x: &[f64],
-    fx: &[f64],
-    opts: &NewtonOptions,
-) -> Result<Structure, NewtonError> {
-    let _span = span("ode.probe");
-    let mut jac = SparseJacobian::probe(f, x, fx, opts.fd_eps);
-    let layout = BorderedBanded::analyse(&jac);
+/// [`NewtonError::TooDense`] when `layout`'s dense part exceeds the cap.
+fn check_dense(layout: &BorderedBanded, opts: &NewtonOptions) -> Result<(), NewtonError> {
     if layout.dense_dim() > opts.max_dense_dim {
         return Err(NewtonError::TooDense {
             dense: layout.dense_dim(),
             limit: opts.max_dense_dim,
         });
     }
-    jac.widen_columns(layout.border());
-    let colouring = jac.colour(layout.border());
-    Ok((jac, layout, colouring))
+    Ok(())
 }
 
 #[cfg(test)]
@@ -265,19 +391,19 @@ mod tests {
 
     /// A chain of levels `x₁ … x_m` behind a global scalar `x₀` that also
     /// drains every level, so `∂F_i/∂x₀ = −x_i/20` is exactly zero
-    /// wherever a level is. Row 0 closes the loop through the last level.
+    /// wherever a level is. Row 0 closes the loop through the first level.
     fn chain(x: &[f64], out: &mut [f64]) {
         let m = x.len() - 1;
-        out[0] = x[0] - 0.5 - 0.5 * x[m];
+        out[0] = x[0] - 0.5 - 0.5 * x[1];
         for i in 1..=m {
             out[i] = x[i - 1] - (1.0 + 0.05 * x[0]) * x[i];
         }
     }
 
-    /// 41 unknowns on the chain's geometric profile, with every level
+    /// `n` unknowns on the chain's geometric profile, with every level
     /// from `zero_from` on set to zero.
-    fn chain_state(zero_from: usize) -> Vec<f64> {
-        (0..41)
+    fn chain_state(n: usize, zero_from: usize) -> Vec<f64> {
+        (0..n)
             .map(|i| {
                 if i < zero_from {
                     0.6 * 0.97f64.powi(i as i32)
@@ -288,10 +414,13 @@ mod tests {
             .collect()
     }
 
+    /// The chain's layout: `x₀` ahead of one block of levels.
+    const CHAIN: BlockLayout = BlockLayout { head: 1, blocks: 1 };
+
     #[test]
     fn refill_restores_border_entries_that_vanished_at_the_probe() {
         let n = 41;
-        let (x0, x1) = (chain_state(20), chain_state(n));
+        let (x0, x1) = (chain_state(n, 20), chain_state(n, n));
         let (mut f0, mut f1) = (vec![0.0; n], vec![0.0; n]);
         chain(&x0, &mut f0);
         chain(&x1, &mut f1);
@@ -301,18 +430,47 @@ mod tests {
             0.0,
             "the tail hides x₀'s column"
         );
-        let (mut jac, layout, colouring) =
-            first_jacobian(chain, &x0, &f0, &NewtonOptions::default()).unwrap();
-        assert_eq!(layout.border(), &[0]);
-        jac.refill(chain, &x1, &f1, 1e-7, &colouring);
+        let mut structure =
+            JacobianStructure::probe(chain, &x0, &f0, &NewtonOptions::default()).unwrap();
+        assert_eq!(structure.layout.border(), &[0]);
+        structure.refill(chain, &x1, &f1, 1e-7);
         let fresh = SparseJacobian::probe(chain, &x1, &f1, 1e-7);
         assert_ne!(fresh.to_dense()[(30, 0)], 0.0);
-        assert_eq!(jac.to_dense(), fresh.to_dense());
+        assert_eq!(structure.jacobian().to_dense(), fresh.to_dense());
+    }
+
+    #[test]
+    fn extension_from_21_to_41_unknowns_matches_the_probe_at_41() {
+        let opts = NewtonOptions::default();
+        // The pilot: 20 levels, polished, its structure probed.
+        let mut pilot = chain_state(21, 21);
+        let mut probed = None;
+        newton_solve_from(chain, &mut pilot, &opts, &mut probed).unwrap();
+        let extended = probed.unwrap().extend(CHAIN, 40);
+        assert_eq!(extended.layout.border(), &[0]);
+        assert_eq!(extended.layout.bandwidths(), (0, 1));
+        // At the pilot's fixed point re-embedded (new levels empty) and
+        // at a full tail, the refill is the probe there, bit for bit.
+        for x in [CHAIN.embed(&pilot, 40), chain_state(41, 41)] {
+            let mut fx = vec![0.0; 41];
+            chain(&x, &mut fx);
+            let mut refilled = extended.clone();
+            refilled.refill(chain, &x, &fx, opts.fd_eps);
+            let fresh = SparseJacobian::probe(chain, &x, &fx, opts.fd_eps);
+            assert_eq!(refilled.jacobian().to_dense(), fresh.to_dense());
+        }
+        // A polish that starts from the extension probes nothing and
+        // hands the structure back.
+        let mut x = CHAIN.embed(&pilot, 40);
+        let mut given = Some(extended);
+        let report = newton_solve_from(chain, &mut x, &opts, &mut given).unwrap();
+        assert!(report.iterations <= 6, "{report:?}");
+        assert!(given.is_some());
     }
 
     #[test]
     fn polish_from_an_empty_tail_converges_quadratically() {
-        let mut x = chain_state(20);
+        let mut x = chain_state(41, 20);
         let report = newton_solve(chain, &mut x, &NewtonOptions::default()).unwrap();
         assert!(report.iterations <= 6, "{report:?}");
         let mut f = vec![0.0; x.len()];
