@@ -344,6 +344,31 @@ fn solve_rejects_an_oversized_erlang_stage_spec() {
 }
 
 #[test]
+fn report_of_a_solve_trace_agrees_with_solve() {
+    let path = std::env::temp_dir().join(format!(
+        "loadsteal_solve_trace_{}.ndjson",
+        std::process::id()
+    ));
+    let path_s = path.to_str().unwrap();
+    let args = ["solve", "--model", "simple-ws", "--lambda", "0.9"];
+    let (ok, solved, stderr) = loadsteal(&[&args[..], &["--trace", path_s]].concat());
+    assert!(ok, "{stderr}");
+    // `residual ‖F(π)‖∞:      2.776e-17 (Newton-polished)`.
+    let residual = solved
+        .lines()
+        .find(|l| l.starts_with("residual"))
+        .and_then(|l| l.split_whitespace().nth(2))
+        .unwrap_or_else(|| panic!("no residual line: {solved}"));
+    let (ok, report, stderr) = loadsteal(&["report", path_s]);
+    let _ = std::fs::remove_file(&path);
+    assert!(ok, "{stderr}");
+    assert!(
+        report.contains(&format!("converged           true  (residual {residual})")),
+        "solve printed residual {residual}:\n{report}"
+    );
+}
+
+#[test]
 fn report_drops_the_prediction_for_an_oversized_erlang_stage_spec() {
     let path = std::env::temp_dir().join(format!(
         "loadsteal_erlang_cap_{}.ndjson",

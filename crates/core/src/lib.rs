@@ -34,9 +34,10 @@
 //!   multi-task steals, pairwise rebalancing, heterogeneous speeds, and
 //!   internal-arrival/static-drain systems. Each implements
 //!   [`MeanFieldModel`].
-//! * [`fixed_point`] — the numeric pipeline (integrate to steady state,
-//!   then Newton-polish, at a truncation sized by the measured tail law)
-//!   plus closed forms where the paper derives them.
+//! * [`fixed_point`] — the numeric pipeline (pseudo-transient
+//!   continuation from a small interior state, then Newton-polish, at a
+//!   truncation sized by the measured tail law) plus closed forms where
+//!   the paper derives them.
 //! * [`stability`] — the Section 4 analysis: L₁ distance to the fixed
 //!   point along trajectories, and the `π₂ < 1/2` hypothesis of
 //!   Theorems 1–2.

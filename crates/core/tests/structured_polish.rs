@@ -1,22 +1,24 @@
 //! The structured Newton polish against its dense oracle, and its
 //! coverage: every registry preset polishes at any truncation.
 //!
-//! The polish probes the Jacobian's sparsity pattern once, at the
-//! solve's pilot truncation, extends it to every larger truncation, and
-//! refills it by column colouring. That is exact only if the pattern
-//! holds every entry that can move, so each preset's coloured Jacobian,
-//! probed and extended, is compared bit for bit with the per-column
-//! dense one at interior and warm-start states.
+//! The pilot's continuation probes the Jacobian's sparsity pattern
+//! once, at its start; grown passes extend it to every larger
+//! truncation, and every Jacobian refills it by column colouring. That
+//! is exact only if the pattern holds every entry that can move, so
+//! each preset's coloured Jacobian, probed and extended, is compared
+//! bit for bit with the per-column dense one at interior and warm-start
+//! states.
 
-use loadsteal_core::fixed_point::{solve, FixedPointOptions};
+use loadsteal_core::fixed_point::{continuation_start, solve, FixedPointOptions};
 use loadsteal_core::models::{NoSteal, SimpleWs};
 use loadsteal_core::{MeanFieldModel, ModelRegistry, ModelSpec};
+use loadsteal_obs::NullRecorder;
 use loadsteal_ode::bordered::BorderedBanded;
 use loadsteal_ode::jacobian::{Colouring, SparseJacobian};
 use loadsteal_ode::linalg::DenseMatrix;
 use loadsteal_ode::{
-    newton_solve_from, AdaptiveOptions, DormandPrince45, JacobianStructure, NewtonOptions,
-    OdeSystem,
+    newton_solve_from, pseudo_transient, AdaptiveOptions, DormandPrince45, JacobianStructure,
+    NewtonOptions, OdeSystem,
 };
 
 /// An interior state of `m`: the state 40 time units after empty,
@@ -135,10 +137,27 @@ fn coloured_jacobian_equals_the_dense_one_for_every_preset() {
     }
 }
 
-/// A solve's pilot pass at `m`: integrate from empty in chunks of 50
-/// time units until a Newton polish converges. Returns the polished
-/// state and the Jacobian structure the polish probed.
+/// A solve's pilot pass at `m`: pseudo-transient continuation from
+/// [`continuation_start`], then the Newton polish. Returns the polished
+/// state and the Jacobian structure the continuation probed at its
+/// start.
 fn pilot<M: MeanFieldModel>(m: &M) -> (Vec<f64>, JacobianStructure) {
+    let mut x = continuation_start(m);
+    let mut structure = None;
+    let f = |v: &[f64], out: &mut [f64]| m.deriv(0.0, v, out);
+    let opts = NewtonOptions::default();
+    pseudo_transient(f, &mut x, &opts, &mut structure, &mut NullRecorder)
+        .unwrap_or_else(|e| panic!("{}: {e}", m.name()));
+    newton_solve_from(f, &mut x, &opts, &mut structure)
+        .unwrap_or_else(|e| panic!("{}: {e}", m.name()));
+    (x, structure.expect("the continuation probed"))
+}
+
+/// The pilot pass the solver ran before the continuation: integrate
+/// from empty in chunks of 50 time units until a Newton polish
+/// converges. Returns the polished state and the Jacobian structure the
+/// polish probed.
+fn integrated_pilot<M: MeanFieldModel>(m: &M) -> (Vec<f64>, JacobianStructure) {
     let mut y = m.empty_state();
     let mut dp = DormandPrince45::new(AdaptiveOptions::default());
     for chunk in 0..40 {
@@ -159,24 +178,33 @@ fn extended_jacobian_equals_the_dense_one_for_every_preset() {
     for p in ModelRegistry::standard().presets() {
         let model = p.spec.mean_field().unwrap();
         // The pilot floor: 32 levels, or the model's structural minimum.
-        let (fixed, probed) = pilot(&model.with_truncation(32));
-        for levels in [120, 400] {
-            let m = model.with_truncation(levels);
-            let blocks = m.block_layout();
-            let extended = probed.extend(blocks, blocks.levels(m.dim()));
-            // The warm start a grown pass polishes from (the pilot's
-            // fixed point, new levels empty) and an interior state.
-            for (at, x) in [
-                ("warm start", m.embed_state(&fixed)),
-                ("interior", interior_state(&m, 3)),
-            ] {
-                let pattern = extended.jacobian();
-                let outside = refill_against_dense(p.name, &m, pattern, extended.colouring(), &x);
-                assert!(
-                    outside < 1e-8,
-                    "{} at {levels} levels, {at}: entry {outside:e} outside the pattern",
-                    p.name
-                );
+        // Its structure probed at the continuation's start, and probed
+        // after integrating from empty.
+        let pilot_model = model.with_truncation(32);
+        for (probe, (fixed, probed)) in [
+            ("continuation start", pilot(&pilot_model)),
+            ("after integration", integrated_pilot(&pilot_model)),
+        ] {
+            for levels in [120, 400] {
+                let m = model.with_truncation(levels);
+                let blocks = m.block_layout();
+                let extended = probed.extend(blocks, blocks.levels(m.dim()));
+                // The warm start a grown pass polishes from (the pilot's
+                // fixed point, new levels empty) and an interior state.
+                for (at, x) in [
+                    ("warm start", m.embed_state(&fixed)),
+                    ("interior", interior_state(&m, 3)),
+                ] {
+                    let pattern = extended.jacobian();
+                    let outside =
+                        refill_against_dense(p.name, &m, pattern, extended.colouring(), &x);
+                    assert!(
+                        outside < 1e-8,
+                        "{} probed at the {probe}, at {levels} levels, {at}: \
+                         entry {outside:e} outside the pattern",
+                        p.name
+                    );
+                }
             }
         }
     }

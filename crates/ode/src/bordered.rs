@@ -186,14 +186,20 @@ impl BorderedBanded {
         (self.kl, self.ku)
     }
 
-    /// Factor `jac`: the pattern this layout was analysed from, or one
-    /// that adds entries only in the border's rows and columns. The
-    /// failing column is reported in original numbering.
+    /// Factor `jac − shift·I`, where `jac` is the pattern this layout was
+    /// analysed from, or one that adds entries only in the border's rows
+    /// and columns. The band's diagonal and the Schur corner are stored
+    /// whatever the pattern holds, so the shift needs no diagonal entry
+    /// in it. The failing column is reported in original numbering.
     ///
     /// # Panics
     /// Panics if `jac` is of another order, or has an entry between core
     /// unknowns outside the analysed band.
-    pub fn factor(&self, jac: &SparseJacobian) -> Result<BorderedLu<'_>, SingularMatrix> {
+    pub fn factor(
+        &self,
+        jac: &SparseJacobian,
+        shift: f64,
+    ) -> Result<BorderedLu<'_>, SingularMatrix> {
         assert_eq!(jac.order(), self.n, "pattern differs from layout");
         let (nc, nb) = (self.core.len(), self.border.len());
         let width = self.band_width();
@@ -215,6 +221,12 @@ impl BorderedBanded {
                 (Pos::Border(p), Pos::Core(c)) => rows[p * nc + c] = v,
                 (Pos::Border(p), Pos::Border(q)) => corner[p * nb + q] = v,
             }
+        }
+        for r in 0..nc {
+            band[r * width + self.kl] -= shift;
+        }
+        for p in 0..nb {
+            corner[p * nb + p] -= shift;
         }
         let mut piv = vec![0; nc];
         band_factor(&mut band, nc, self.kl, self.ku, &mut piv).map_err(|r| SingularMatrix {
@@ -545,7 +557,7 @@ mod tests {
         assert_eq!(layout.bandwidths(), (1, 1));
         let b: Vec<f64> = (0..60).map(|i| (i as f64).cos()).collect();
         let mut x = b.clone();
-        layout.factor(&jac).unwrap().solve_in_place(&mut x);
+        layout.factor(&jac, 0.0).unwrap().solve_in_place(&mut x);
         assert!(residual(&a, &x, &b) < 1e-13);
     }
 
@@ -573,7 +585,7 @@ mod tests {
         assert!(kl <= 3 && ku <= 3, "bandwidths {kl}, {ku}");
         let b = vec![1.0; 2 * m];
         let mut x = b.clone();
-        layout.factor(&jac).unwrap().solve_in_place(&mut x);
+        layout.factor(&jac, 0.0).unwrap().solve_in_place(&mut x);
         assert!(residual(&a, &x, &b) < 1e-13);
     }
 
@@ -593,7 +605,7 @@ mod tests {
         assert_eq!(layout.dense_dim(), n);
         let b: Vec<f64> = (0..n).map(|i| i as f64).collect();
         let mut x = b.clone();
-        layout.factor(&jac).unwrap().solve_in_place(&mut x);
+        layout.factor(&jac, 0.0).unwrap().solve_in_place(&mut x);
         // The all-dense layout is Lu on the unpermuted matrix.
         assert_eq!(x, a.clone().lu().unwrap().solve(&b));
     }
@@ -616,8 +628,28 @@ mod tests {
         assert!(!layout.is_dense());
         let b: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
         let mut x = b.clone();
-        layout.factor(&jac).unwrap().solve_in_place(&mut x);
+        layout.factor(&jac, 0.0).unwrap().solve_in_place(&mut x);
         assert!(residual(&a, &x, &b) < 1e-12);
+    }
+
+    #[test]
+    fn shift_reaches_diagonal_entries_the_pattern_lacks() {
+        let n = 40;
+        let mut a = arrowhead(n);
+        // No diagonal entry at a core unknown nor at the border's first.
+        a[(7, 7)] = 0.0;
+        a[(0, 0)] = 0.0;
+        let jac = SparseJacobian::from_dense(&a);
+        let layout = BorderedBanded::analyse(&jac);
+        assert!(layout.border().contains(&0) && !layout.border().contains(&7));
+        let mut shifted = a.clone();
+        for i in 0..n {
+            shifted[(i, i)] -= 3.0;
+        }
+        let b: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
+        let mut x = b.clone();
+        layout.factor(&jac, 3.0).unwrap().solve_in_place(&mut x);
+        assert!(residual(&shifted, &x, &b) < 1e-13);
     }
 
     #[test]
@@ -628,6 +660,6 @@ mod tests {
         }
         let jac = SparseJacobian::from_dense(&a);
         let layout = BorderedBanded::analyse(&jac);
-        assert!(layout.factor(&jac).is_err());
+        assert!(layout.factor(&jac, 0.0).is_err());
     }
 }

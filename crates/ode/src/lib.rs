@@ -20,14 +20,17 @@
 //!    level for a structure extended to a larger truncation.
 //! 3. **Root finding** ([`roots`], [`newton`], [`jacobian`]): scalar
 //!    bisection and Brent iteration for the paper's closed-form
-//!    fixed-point constants, and a damped finite-difference Newton method
-//!    for the algebraic systems `F(π) = 0` that define fixed points
-//!    without closed forms. Its Jacobian structure is probed once per
-//!    solve, at the smallest truncation, and extended to larger ones
-//!    ([`JacobianStructure::extend`]) with no evaluation of `F`. Every
-//!    Jacobian is refilled by Curtis–Powell–Reid column colouring, a
-//!    handful of evaluations of `F` instead of one per unknown, so
-//!    banded systems of thousands of unknowns polish in milliseconds.
+//!    fixed-point constants, and for the algebraic systems `F(π) = 0`
+//!    that define fixed points without closed forms, pseudo-transient
+//!    continuation ([`pseudo_transient`]: backward-Euler steps of the
+//!    flow, not limited by stiffness) from far away and a damped
+//!    finite-difference Newton method from close by. Their Jacobian
+//!    structure is probed once per solve, at the smallest truncation,
+//!    and extended to larger ones ([`JacobianStructure::extend`]) with
+//!    no evaluation of `F`. Every Jacobian is refilled by
+//!    Curtis–Powell–Reid column colouring, a handful of evaluations of
+//!    `F` instead of one per unknown, so banded systems of thousands of
+//!    unknowns polish in milliseconds.
 //!
 //! The crate is deliberately self-contained (no external dependencies):
 //! the Rust ODE ecosystem is thin, and the solvers needed here are small,
@@ -69,7 +72,8 @@ pub mod solver;
 mod system;
 
 pub use newton::{
-    newton_solve, newton_solve_from, JacobianStructure, NewtonError, NewtonOptions, NewtonReport,
+    newton_solve, newton_solve_from, pseudo_transient, ContinuationReport, JacobianStructure,
+    NewtonError, NewtonOptions, NewtonReport,
 };
 pub use roots::{bisect, brent, RootError};
 pub use solver::{

@@ -1,10 +1,17 @@
-//! Damped Newton iteration with a structured finite-difference Jacobian.
+//! Pseudo-transient continuation and damped Newton iteration with a
+//! structured finite-difference Jacobian.
 //!
 //! Fixed points of a truncated mean-field family are roots of the
 //! algebraic system `F(π) = 0`, where `F` is the right-hand side of the
-//! ODEs. Integrating to steady state gets within `~1e-8`; this module
-//! polishes that estimate to close to machine precision, which matters
-//! when the performance metric is a long geometric sum of the tail.
+//! ODEs. Newton's method converges to one only from close by. Far from
+//! it, [`pseudo_transient`] follows the flow `dx/dt = F(x)` with
+//! backward-Euler steps whose pseudo-time step grows as the residual
+//! falls (Kelley and Keyes, SIAM J. Numer. Anal. 35(2), 1998). Each
+//! step solves `(J − I/δ)Δ = −F`, so stiffness does not limit δ, and
+//! as δ grows the steps become Newton steps. Once the residual is
+//! below `1e-9` the Newton polish ([`newton_solve_from`]) takes the
+//! estimate to close to machine precision, which matters when the
+//! performance metric is a long geometric sum of the tail.
 //!
 //! The Jacobian of such a system is bordered-banded: each level couples
 //! to a few neighbours, plus a few global scalars couple to everything.
@@ -12,8 +19,11 @@
 //! pattern ([`crate::jacobian`]), its layout as a band plus a dense
 //! border ([`crate::bordered`]) and a column colouring. The first
 //! Jacobian either probes the structure column by column
-//! ([`newton_solve`]) or refills a given one ([`newton_solve_from`]).
-//! Every later Jacobian refills it with one evaluation per colour.
+//! ([`newton_solve`]) or refills a given one ([`newton_solve_from`],
+//! [`pseudo_transient`]). Every later Jacobian refills it with one
+//! evaluation per colour. A probe sees only the entries that move at
+//! its point, so the continuation starts where every unknown is
+//! nonzero: one probe there holds the pattern the polish needs.
 //!
 //! The border's columns are widened to every row right after the probe.
 //! A warm start from a shorter truncation has empty new levels, where
@@ -29,10 +39,20 @@
 //! O(nnz) and no evaluation of `F`.
 
 use loadsteal_obs::span::span;
+use loadsteal_obs::{Event, Recorder};
 
 use crate::bordered::BorderedBanded;
 use crate::jacobian::{BlockLayout, Colouring, SparseJacobian};
 use crate::norms::max_abs;
+
+/// Pseudo-time step of the continuation's first step.
+const PTC_FIRST_STEP: f64 = 1.0;
+/// Residual `‖F‖∞` at which the continuation hands off to Newton.
+const PTC_HANDOFF: f64 = 1e-9;
+/// Bounds on the factor by which an accepted step scales δ.
+const PTC_GROWTH: (f64, f64) = (0.5, 10.0);
+/// Steps, accepted or rejected, before the continuation gives up.
+const PTC_MAX_STEPS: usize = 60;
 
 /// What every Jacobian of one solve shares: its pattern (holding the
 /// latest values), its layout as band plus border, and its colouring,
@@ -183,7 +203,18 @@ pub struct NewtonReport {
     pub residual: f64,
 }
 
-/// Failure modes of [`newton_solve`].
+/// Convergence report from [`pseudo_transient`].
+#[derive(Debug, Clone, Copy)]
+pub struct ContinuationReport {
+    /// Accepted pseudo-time steps.
+    pub accepted: usize,
+    /// Rejected pseudo-time steps.
+    pub rejected: usize,
+    /// Final residual `‖F(x)‖∞`, below the hand-off residual `1e-9`.
+    pub residual: f64,
+}
+
+/// Failure modes of [`newton_solve`] and [`pseudo_transient`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum NewtonError {
     /// The finite-difference Jacobian was singular.
@@ -204,7 +235,7 @@ pub enum NewtonError {
         /// Residual at the stall point.
         residual: f64,
     },
-    /// Iteration budget exhausted.
+    /// Iteration (or continuation step) budget exhausted.
     MaxIterations {
         /// Residual when the budget ran out.
         residual: f64,
@@ -327,7 +358,7 @@ pub fn newton_solve_from(
         };
         let lu = {
             let _span = span("ode.factor");
-            s.layout.factor(&s.jac)
+            s.layout.factor(&s.jac, 0.0)
         }
         .map_err(|_| NewtonError::SingularJacobian { iteration: iter })?;
         // Newton direction: J dx = -F.
@@ -372,6 +403,151 @@ pub fn newton_solve_from(
         });
     }
     Err(NewtonError::MaxIterations { residual: res })
+}
+
+/// Pseudo-transient continuation: move `x` towards an attracting root
+/// of `F` until `‖F(x)‖∞ < 1e-9`, where a Newton polish
+/// ([`newton_solve_from`]) takes over.
+///
+/// Each step is a backward-Euler step of `dx/dt = F(x)` with
+/// pseudo-time step δ, linearized: solve `(J − I/δ)Δ = −F` with the
+/// Jacobian `J` at `x`, and try `x + Δ`. The first δ is 1. A step that
+/// does not raise `‖F‖∞` is accepted, and δ is scaled by the drop in
+/// the residual, `‖F_k‖/‖F_{k+1}‖` clamped to [0.5, 10] (switched
+/// evolution relaxation). A step that raises it, or lands where `F` is
+/// not finite, is rejected, and δ is halved. As δ grows the steps
+/// become Newton steps; a small δ follows the flow, stiff or not.
+///
+/// The Jacobians share `structure` as in [`newton_solve_from`]: when it
+/// holds one, the first Jacobian refills it, otherwise the first
+/// Jacobian probes it into `structure`. Only `opts.fd_eps` and
+/// `opts.max_dense_dim` apply; the step control is fixed.
+///
+/// Every attempted step is recorded to `rec` as a `SolverStep`: `t` is
+/// the pseudo-time before the step, `h` is δ, and `err_norm` is
+/// `‖F_{k+1}‖∞/‖F_k‖∞`, at most 1 for an accepted step. Every accepted
+/// step is followed by a `SolverSteady` with the new residual. The
+/// continuation runs under the span `ode.continuation`.
+///
+/// ```
+/// use loadsteal_obs::NullRecorder;
+/// use loadsteal_ode::{pseudo_transient, NewtonOptions};
+/// // dx/dt = 2 − x − x³ flows to its root x = 1.
+/// let mut x = vec![0.0];
+/// let report = pseudo_transient(
+///     |v, out| out[0] = 2.0 - v[0] - v[0].powi(3),
+///     &mut x,
+///     &NewtonOptions::default(),
+///     &mut None,
+///     &mut NullRecorder,
+/// )
+/// .unwrap();
+/// assert!(report.residual < 1e-9 && (x[0] - 1.0).abs() < 1e-9);
+/// ```
+///
+/// # Errors
+/// [`NewtonError::TooDense`] as [`newton_solve_from`];
+/// [`NewtonError::NonFinite`] when `F(x)` is not finite at the start;
+/// [`NewtonError::SingularJacobian`] when `J − I/δ` is singular; and
+/// [`NewtonError::MaxIterations`] after 60 steps, accepted or rejected,
+/// short of the hand-off.
+///
+/// # Panics
+/// Panics if a given structure is of another order than `x`.
+pub fn pseudo_transient(
+    mut f: impl FnMut(&[f64], &mut [f64]),
+    x: &mut [f64],
+    opts: &NewtonOptions,
+    structure: &mut Option<JacobianStructure>,
+    rec: &mut dyn Recorder,
+) -> Result<ContinuationReport, NewtonError> {
+    let _span = span("ode.continuation");
+    let n = x.len();
+    if let Some(s) = structure {
+        assert_eq!(s.jac.order(), n, "structure of another order");
+        check_dense(&s.layout, opts)?;
+    }
+    let mut fx = vec![0.0; n];
+    let mut fx_trial = vec![0.0; n];
+    let mut x_trial = vec![0.0; n];
+    f(x, &mut fx);
+    if fx.iter().any(|v| !v.is_finite()) {
+        return Err(NewtonError::NonFinite);
+    }
+    let mut res = max_abs(&fx);
+    let tracing = rec.enabled();
+    let mut report = ContinuationReport {
+        accepted: 0,
+        rejected: 0,
+        residual: res,
+    };
+    // Pseudo-time, the sum of the accepted steps.
+    let mut t = 0.0;
+    let mut delta = PTC_FIRST_STEP;
+    // Whether the structure holds the Jacobian at `x`: a rejected step
+    // only changes δ.
+    let mut current = false;
+    while res >= PTC_HANDOFF {
+        let step = report.accepted + report.rejected;
+        if step == PTC_MAX_STEPS {
+            return Err(NewtonError::MaxIterations { residual: res });
+        }
+        let s = {
+            let _span = span("ode.jacobian");
+            match structure {
+                Some(s) => {
+                    if !current {
+                        s.refill(&mut f, x, &fx, opts.fd_eps);
+                    }
+                    s
+                }
+                None => structure.insert(JacobianStructure::probe(&mut f, x, &fx, opts)?),
+            }
+        };
+        current = true;
+        let lu = {
+            let _span = span("ode.factor");
+            s.layout.factor(&s.jac, 1.0 / delta)
+        }
+        .map_err(|_| NewtonError::SingularJacobian { iteration: step })?;
+        let mut dx: Vec<f64> = fx.iter().map(|v| -v).collect();
+        lu.solve_in_place(&mut dx);
+        for i in 0..n {
+            x_trial[i] = x[i] + dx[i];
+        }
+        f(&x_trial, &mut fx_trial);
+        let res_trial = max_abs(&fx_trial);
+        // False for a NaN residual, which `max_abs` propagates.
+        let accepted = res_trial <= res;
+        if tracing {
+            rec.record(&Event::SolverStep {
+                accepted,
+                t,
+                h: delta,
+                err_norm: res_trial / res,
+            });
+        }
+        if accepted {
+            x.copy_from_slice(&x_trial);
+            fx.copy_from_slice(&fx_trial);
+            current = false;
+            report.accepted += 1;
+            t += delta;
+            if tracing {
+                rec.record(&Event::SolverSteady {
+                    t,
+                    residual: res_trial,
+                });
+            }
+            delta *= (res / res_trial).clamp(PTC_GROWTH.0, PTC_GROWTH.1);
+            res = res_trial;
+        } else {
+            report.rejected += 1;
+            delta *= 0.5;
+        }
+    }
+    report.residual = res;
+    Ok(report)
 }
 
 /// [`NewtonError::TooDense`] when `layout`'s dense part exceeds the cap.
@@ -477,6 +653,110 @@ mod tests {
         chain(&x, &mut f);
         assert!(max_abs(&f) < 1e-13);
         assert!(x[40] > 0.1, "the tail filled in: {}", x[40]);
+    }
+
+    /// Every event it is given.
+    #[derive(Default)]
+    struct Events(Vec<Event>);
+
+    impl Recorder for Events {
+        fn record(&mut self, ev: &Event) {
+            self.0.push(*ev);
+        }
+    }
+
+    /// A slow, strongly curved unknown `x₀` (flat where it starts) and a
+    /// stiff one that follows it a thousand times faster.
+    fn stiff(x: &[f64], out: &mut [f64]) {
+        out[0] = 0.5 - x[0].powi(10);
+        out[1] = 1000.0 * (x[0] - x[1]);
+    }
+
+    #[test]
+    fn continuation_converges_on_a_stiff_system_where_newton_stalls() {
+        let start = [0.2, 0.2];
+        // J₀₀ ≈ −5e-6 at the start: Newton's first step is ~1e5 long,
+        // and no damping down to 1/1024 brings it back.
+        let mut x = start.to_vec();
+        let err = newton_solve(stiff, &mut x, &NewtonOptions::default()).unwrap_err();
+        assert!(matches!(err, NewtonError::Stalled { .. }), "{err:?}");
+        let mut x = start.to_vec();
+        let mut events = Events::default();
+        let opts = NewtonOptions::default();
+        let report = pseudo_transient(stiff, &mut x, &opts, &mut None, &mut events).unwrap();
+        assert!(report.residual < 1e-9, "{report:?}");
+        let root = 0.5f64.powf(0.1);
+        assert!(
+            (x[0] - root).abs() < 1e-9 && (x[1] - root).abs() < 1e-9,
+            "{x:?}"
+        );
+        let steps = events
+            .0
+            .iter()
+            .filter(|e| matches!(e, Event::SolverStep { .. }))
+            .count();
+        assert_eq!(steps, report.accepted + report.rejected);
+        assert!(steps <= 30, "{report:?}");
+    }
+
+    #[test]
+    fn a_step_that_raises_the_residual_is_rejected_and_halves_delta() {
+        // From x = −0.5 the second step overshoots into the exponential
+        // wall past the root x = 1.
+        let wall = |v: &[f64], out: &mut [f64]| out[0] = 1.0 - (10.0 * (v[0] - 1.0)).exp();
+        let mut x = vec![-0.5];
+        let mut events = Events::default();
+        let opts = NewtonOptions::default();
+        let report = pseudo_transient(wall, &mut x, &opts, &mut None, &mut events).unwrap();
+        assert!(report.rejected >= 1, "{report:?}");
+        assert!((x[0] - 1.0).abs() < 1e-9, "{x:?}");
+        let steps: Vec<(bool, f64, f64, f64)> = events
+            .0
+            .iter()
+            .filter_map(|e| match *e {
+                Event::SolverStep {
+                    accepted,
+                    t,
+                    h,
+                    err_norm,
+                } => Some((accepted, t, h, err_norm)),
+                _ => None,
+            })
+            .collect();
+        let k = steps.iter().position(|s| !s.0).expect("a rejected step");
+        let (_, t, h, err_norm) = steps[k];
+        assert!(err_norm > 1.0, "rejected at ratio {err_norm}");
+        // The retry starts from the same pseudo-time with half the step.
+        assert_eq!(steps[k + 1].1, t);
+        assert_eq!(steps[k + 1].2, h / 2.0);
+        assert!(steps.iter().all(|s| s.0 == (s.3 <= 1.0)));
+    }
+
+    #[test]
+    fn too_dense_from_the_continuation_probe_propagates() {
+        let mut x = chain_state(21, 21);
+        let opts = NewtonOptions {
+            max_dense_dim: 0,
+            ..NewtonOptions::default()
+        };
+        let mut structure = None;
+        let err = pseudo_transient(chain, &mut x, &opts, &mut structure, &mut Events::default())
+            .unwrap_err();
+        assert_eq!(err, NewtonError::TooDense { dense: 1, limit: 0 });
+        assert!(structure.is_none());
+    }
+
+    #[test]
+    fn continuation_hands_its_structure_to_the_polish() {
+        let mut x = vec![0.2, 0.2];
+        let opts = NewtonOptions::default();
+        let mut structure = None;
+        let mut events = Events::default();
+        pseudo_transient(stiff, &mut x, &opts, &mut structure, &mut events).unwrap();
+        assert!(structure.is_some());
+        let report = newton_solve_from(stiff, &mut x, &opts, &mut structure).unwrap();
+        assert!(report.iterations <= 3, "{report:?}");
+        assert!(report.residual < 1e-13, "{report:?}");
     }
 
     #[test]

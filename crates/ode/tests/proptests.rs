@@ -110,7 +110,7 @@ proptest! {
         prop_assert!(layout.is_dense() || layout.dense_dim() <= border,
             "border {} for {border} planted", layout.dense_dim());
         let mut x = b.clone();
-        layout.factor(&jac).unwrap().solve_in_place(&mut x);
+        layout.factor(&jac, 0.0).unwrap().solve_in_place(&mut x);
         let x_lu = a.clone().lu().unwrap().solve(&b);
         let r: Vec<f64> = a.mul_vec(&x).iter().zip(&b).map(|(p, q)| p - q).collect();
         let d: Vec<f64> = x.iter().zip(&x_lu).map(|(p, q)| p - q).collect();
