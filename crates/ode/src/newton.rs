@@ -53,6 +53,10 @@ const PTC_HANDOFF: f64 = 1e-9;
 const PTC_GROWTH: (f64, f64) = (0.5, 10.0);
 /// Steps, accepted or rejected, before the continuation gives up.
 const PTC_MAX_STEPS: usize = 60;
+/// Halvings of δ in a row after which the continuation gives up: δ is
+/// then 2⁻²⁰ ≈ 1e−6 of the step that last lowered `‖F‖∞`, and smaller
+/// steps only follow the flow more closely where it does not descend.
+const PTC_MAX_HALVINGS: u32 = 20;
 
 /// What every Jacobian of one solve shares: its pattern (holding the
 /// latest values), its layout as band plus border, and its colouring,
@@ -412,9 +416,9 @@ pub fn newton_solve_from(
 /// Each step is a backward-Euler step of `dx/dt = F(x)` with
 /// pseudo-time step δ, linearized: solve `(J − I/δ)Δ = −F` with the
 /// Jacobian `J` at `x`, and try `x + Δ`. The first δ is 1. A step that
-/// does not raise `‖F‖∞` is accepted, and δ is scaled by the drop in
-/// the residual, `‖F_k‖/‖F_{k+1}‖` clamped to [0.5, 10] (switched
-/// evolution relaxation). A step that raises it, or lands where `F` is
+/// lowers `‖F‖∞` is accepted, and δ is scaled by the drop in the
+/// residual, `‖F_k‖/‖F_{k+1}‖` clamped to [0.5, 10] (switched
+/// evolution relaxation). A step that does not, or lands where `F` is
 /// not finite, is rejected, and δ is halved. As δ grows the steps
 /// become Newton steps; a small δ follows the flow, stiff or not.
 ///
@@ -425,7 +429,7 @@ pub fn newton_solve_from(
 ///
 /// Every attempted step is recorded to `rec` as a `SolverStep`: `t` is
 /// the pseudo-time before the step, `h` is δ, and `err_norm` is
-/// `‖F_{k+1}‖∞/‖F_k‖∞`, at most 1 for an accepted step. Every accepted
+/// `‖F_{k+1}‖∞/‖F_k‖∞`, below 1 for an accepted step. Every accepted
 /// step is followed by a `SolverSteady` with the new residual. The
 /// continuation runs under the span `ode.continuation`.
 ///
@@ -450,7 +454,7 @@ pub fn newton_solve_from(
 /// [`NewtonError::NonFinite`] when `F(x)` is not finite at the start;
 /// [`NewtonError::SingularJacobian`] when `J − I/δ` is singular; and
 /// [`NewtonError::MaxIterations`] after 60 steps, accepted or rejected,
-/// short of the hand-off.
+/// short of the hand-off, or after 20 rejected steps in a row.
 ///
 /// # Panics
 /// Panics if a given structure is of another order than `x`.
@@ -487,6 +491,7 @@ pub fn pseudo_transient(
     // Whether the structure holds the Jacobian at `x`: a rejected step
     // only changes δ.
     let mut current = false;
+    let mut halvings = 0;
     while res >= PTC_HANDOFF {
         let step = report.accepted + report.rejected;
         if step == PTC_MAX_STEPS {
@@ -518,7 +523,7 @@ pub fn pseudo_transient(
         f(&x_trial, &mut fx_trial);
         let res_trial = max_abs(&fx_trial);
         // False for a NaN residual, which `max_abs` propagates.
-        let accepted = res_trial <= res;
+        let accepted = res_trial < res;
         if tracing {
             rec.record(&Event::SolverStep {
                 accepted,
@@ -541,8 +546,13 @@ pub fn pseudo_transient(
             }
             delta *= (res / res_trial).clamp(PTC_GROWTH.0, PTC_GROWTH.1);
             res = res_trial;
+            halvings = 0;
         } else {
             report.rejected += 1;
+            halvings += 1;
+            if halvings == PTC_MAX_HALVINGS {
+                return Err(NewtonError::MaxIterations { residual: res });
+            }
             delta *= 0.5;
         }
     }
@@ -729,7 +739,7 @@ mod tests {
         // The retry starts from the same pseudo-time with half the step.
         assert_eq!(steps[k + 1].1, t);
         assert_eq!(steps[k + 1].2, h / 2.0);
-        assert!(steps.iter().all(|s| s.0 == (s.3 <= 1.0)));
+        assert!(steps.iter().all(|s| s.0 == (s.3 < 1.0)));
     }
 
     #[test]
