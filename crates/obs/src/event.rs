@@ -1,6 +1,8 @@
 //! The typed event model: everything a solver, simulator, or
 //! replication driver can report, with an NDJSON rendering.
 
+use std::fmt::Write;
+
 use crate::json::JsonBuf;
 
 /// What kind of simulator activity a [`Event::Sim`] reports.
@@ -27,6 +29,17 @@ impl SimEventKind {
             Self::StealAttempt => "steal_attempt",
             Self::StealSuccess => "steal_success",
             Self::Migration => "migration",
+        }
+    }
+
+    /// The start of this kind's NDJSON line, up to `t`'s value.
+    fn json_prefix(self) -> &'static str {
+        match self {
+            Self::Arrival => r#"{"ev":"arrival","t":"#,
+            Self::Completion => r#"{"ev":"completion","t":"#,
+            Self::StealAttempt => r#"{"ev":"steal_attempt","t":"#,
+            Self::StealSuccess => r#"{"ev":"steal_success","t":"#,
+            Self::Migration => r#"{"ev":"migration","t":"#,
         }
     }
 }
@@ -206,6 +219,36 @@ impl Event {
     /// Append the event's NDJSON line (no trailing newline) to `out`,
     /// allocating only if `out` must grow.
     pub(crate) fn write_json(&self, out: &mut String) {
+        // Simulator events are most of every trace, so their lines are
+        // written straight into `out`, byte for byte what `JsonBuf`
+        // would write.
+        if let Self::Sim {
+            kind,
+            t,
+            proc,
+            src,
+            count,
+        } = *self
+        {
+            out.push_str(kind.json_prefix());
+            if t.is_finite() {
+                let _ = write!(out, "{t:?}");
+            } else {
+                out.push_str("null");
+            }
+            out.push_str(r#","proc":"#);
+            push_u32(out, proc);
+            if let Some(s) = src {
+                out.push_str(r#","src":"#);
+                push_u32(out, s);
+            }
+            if count != 1 {
+                out.push_str(r#","count":"#);
+                push_u32(out, count);
+            }
+            out.push('}');
+            return;
+        }
         let mut j = JsonBuf::from_string(std::mem::take(out));
         j.begin_obj().field_str("ev", self.name());
         match *self {
@@ -240,21 +283,7 @@ impl Event {
                     .field_bool("converged", converged)
                     .field_f64("residual", residual);
             }
-            Self::Sim {
-                t,
-                proc,
-                src,
-                count,
-                ..
-            } => {
-                j.field_f64("t", t).field_u64("proc", proc as u64);
-                if let Some(s) = src {
-                    j.field_u64("src", s as u64);
-                }
-                if count != 1 {
-                    j.field_u64("count", count as u64);
-                }
-            }
+            Self::Sim { .. } => unreachable!("simulator events are written above"),
             Self::Job {
                 t,
                 job,
@@ -304,6 +333,21 @@ impl Event {
         j.end_obj();
         *out = j.finish();
     }
+}
+
+/// Append `v` in decimal.
+fn push_u32(out: &mut String, mut v: u32) {
+    let mut digits = [0u8; 10];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
 }
 
 /// Schema identifier written in trace header lines.
@@ -495,6 +539,28 @@ mod tests {
             ),
         ];
         (header, header_line, events)
+    }
+
+    #[test]
+    fn sim_lines_cover_the_digit_writer_edges() {
+        let line = |t, proc, src, count| {
+            Event::Sim {
+                kind: SimEventKind::Arrival,
+                t,
+                proc,
+                src,
+                count,
+            }
+            .to_json_line()
+        };
+        assert_eq!(
+            line(f64::NAN, u32::MAX, Some(0), 0),
+            r#"{"ev":"arrival","t":null,"proc":4294967295,"src":0,"count":0}"#
+        );
+        assert_eq!(
+            line(1e-300, 10, Some(1_000_000), 4_000_000_000),
+            r#"{"ev":"arrival","t":1e-300,"proc":10,"src":1000000,"count":4000000000}"#
+        );
     }
 
     #[test]
