@@ -94,7 +94,9 @@ impl RebalanceRate {
     }
 }
 
-/// Which future-event-list implementation orders the simulation.
+/// Which future-event-list implementation orders the simulation's
+/// timed events (the clocks that are not superposed into the engine's
+/// one exponential clock).
 ///
 /// Both engines share one core (state layout, RNG call sites, recorder
 /// semantics) and one event total-order ([`crate::event::event_order`]:

@@ -6,32 +6,20 @@ use std::cmp::Ordering;
 /// What happens when an event fires.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EventKind {
-    /// External Poisson arrival at a processor.
+    /// External arrival at a processor whose inter-arrival law is not
+    /// exponential (the engine superposes Poisson streams into one
+    /// clock).
     ExtArrival {
         /// Target processor.
         proc: u32,
     },
-    /// Internal (spawned-while-busy) arrival; valid only if the
-    /// processor's internal epoch still matches.
-    IntArrival {
-        /// Target processor.
-        proc: u32,
-        /// Epoch at scheduling time.
-        epoch: u32,
-    },
-    /// The task at the head of a processor's queue finishes service.
-    /// Never stale: steals and rebalances only move tail tasks.
+    /// The task at the head of a processor's queue finishes a service
+    /// time that is not exponential (the engine superposes exponential
+    /// completions into one clock). Never stale: steals and rebalances
+    /// only move tail tasks.
     Completion {
         /// Serving processor.
         proc: u32,
-    },
-    /// A repeated-steal retry by an empty processor (Section 2.5);
-    /// valid only if the probe epoch still matches.
-    StealProbe {
-        /// The thief.
-        proc: u32,
-        /// Epoch at scheduling time.
-        epoch: u32,
     },
     /// A pairwise rebalance initiation (Section 3.4); valid only if the
     /// probe epoch still matches (the rate depends on the load).
@@ -69,7 +57,7 @@ pub struct Event {
 ///
 /// This is the **pinned contract** every future-event-list
 /// implementation must honour. Simultaneous events (a deterministic
-/// arrival landing at the instant a steal probe fires, transfer delays
+/// arrival landing at the instant a rebalance tick fires, transfer delays
 /// of exactly zero, …) replay in scheduling order under any engine, so
 /// heap and calendar runs of the same `(config, seed)` pop the same
 /// event sequence and therefore make identical RNG draws and emit

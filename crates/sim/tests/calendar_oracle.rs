@@ -154,7 +154,7 @@ proptest! {
             match action {
                 // Schedule a probe at the proc's current epoch.
                 0 | 1 => {
-                    let k = EventKind::StealProbe { proc, epoch: epoch[proc as usize] };
+                    let k = EventKind::RebalanceTick { proc, epoch: epoch[proc as usize] };
                     let e = Event { time: now + dt, seq, kind: k };
                     cal.push(e);
                     EventQueue::push(&mut heap, e);
@@ -171,7 +171,7 @@ proptest! {
                     ] {
                         if let Some(e) = q {
                             now = now.max(e.time);
-                            if let EventKind::StealProbe { proc, epoch: ep } = e.kind {
+                            if let EventKind::RebalanceTick { proc, epoch: ep } = e.kind {
                                 if ep == epoch[proc as usize] {
                                     accepted.push((e.time.to_bits(), e.seq));
                                 }
