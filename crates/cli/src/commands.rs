@@ -480,7 +480,10 @@ pub fn converge(a: &Args) -> Result<(), String> {
         out,
         "protocol: n ∈ {grid:?}, {runs} × {horizon:.0} s (warmup {warmup:.0} s), seed {seed}"
     );
-    let points = error_curve(&spec, &grid, runs, horizon, warmup, seed)?;
+    let points: Vec<(f64, f64)> = error_curve(&spec, &grid, runs, horizon, warmup, seed)?
+        .iter()
+        .map(|p| (p.n, p.sup_error()))
+        .collect();
     for (n, err) in &points {
         say!(out, "  n = {:>7}: e(n) = {err:.3e}", *n as usize);
     }
