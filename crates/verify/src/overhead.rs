@@ -45,10 +45,10 @@ use crate::harness::{Check, Outcome, Settings, Tier};
 /// Maximum allowed wall-clock ratio of a fully traced simulator run
 /// (every event serialized to NDJSON) over the untraced run. Eight
 /// `verify --quick --filter overhead` runs on a 2-vCPU Xeon host read
-/// 4.4–5.3× (median 5.1×): the engine simulates ≈ 12 M events/s
-/// untraced and ≈ 2.3 M events/s with every event encoded straight
+/// 4.3–4.7× (median 4.5×): the engine simulates ≈ 28 M events/s
+/// untraced and ≈ 6.4 M events/s with every event encoded straight
 /// into the batch buffer (see `docs/telemetry.md`). The budget is 1.5×
-/// the worst of those runs, rounded up. It leaves headroom for slow
+/// the worst of the runs that set it (5.3×), rounded up. It leaves headroom for slow
 /// shared runners while still catching a per-event allocation in the
 /// encoder (the allocating encoder read 7.9–14.6× on the same host), a
 /// reintroduced per-event sink lock or an unbatched write path.
