@@ -10,6 +10,13 @@
 //! differently, an event lost in a bucket rebuild, a cursor skipping a
 //! window) shows up as a counter or a sojourn-moment mismatch here
 //! long before it would move a statistical check.
+//!
+//! The lists order only the timed events: exponential completions,
+//! Poisson arrivals, internal arrivals and retries ride the engine's
+//! superposed clock and never enter them. So every case here keeps a
+//! timed stream — a non-exponential service law, or Erlang arrivals
+//! beside exponential service — or the two engines would agree
+//! trivially.
 
 use proptest::prelude::*;
 
@@ -43,6 +50,13 @@ fn arb_policy() -> impl Strategy<Value = StealPolicy> {
 fn arb_service() -> impl Strategy<Value = ServiceDistribution> {
     prop_oneof![
         Just(ServiceDistribution::unit_exponential()),
+        arb_timed_service(),
+    ]
+}
+
+/// Service laws whose completions stay on the timed list.
+fn arb_timed_service() -> impl Strategy<Value = ServiceDistribution> {
+    prop_oneof![
         Just(ServiceDistribution::unit_deterministic()),
         (2u32..12).prop_map(ServiceDistribution::unit_erlang),
     ]
@@ -83,10 +97,19 @@ proptest! {
         lambda in 0.2f64..0.9,
         policy in arb_policy(),
         service in arb_service(),
+        arrival_stages in 2u32..6,
         seed in any::<u64>(),
     ) {
         let mut cfg = SimConfig::paper_default(n, lambda);
         cfg.policy = policy;
+        if service == ServiceDistribution::unit_exponential() {
+            // Erlang arrivals of mean 1/λ put the arrivals on the
+            // timed list, between the clock's completions.
+            cfg.arrival = Some(ServiceDistribution::Erlang {
+                stages: arrival_stages,
+                rate: arrival_stages as f64 * lambda,
+            });
+        }
         cfg.service = service;
         cfg.horizon = 600.0;
         cfg.warmup = 60.0;
@@ -98,16 +121,19 @@ proptest! {
     /// Drained runs exercise the queue's emptying tail (the cursor
     /// hunting across ever-sparser windows) — the regime where a
     /// calendar bug would drop the final events and change makespan.
+    /// Their completions are timed, so the list is what drains.
     #[test]
     fn engines_agree_on_drained_runs(
         n in 2usize..12,
         initial in 1usize..12,
         policy in arb_policy(),
+        service in arb_timed_service(),
         seed in any::<u64>(),
     ) {
         let mut cfg = SimConfig::paper_default(n, 0.0);
         cfg.lambda = 0.0;
         cfg.policy = policy;
+        cfg.service = service;
         cfg.run_until_drained = true;
         cfg.initial_load = initial;
         cfg.warmup = 0.0;
